@@ -21,8 +21,8 @@ lint: vet
 test:
 	$(GO) test ./...
 
-# Race-enabled run of the full module (bufferpool, paramserv, frame, tensor
-# and lineage included — nothing is skipped), followed by the compressed
+# Race-enabled run of the full module (bufferpool, paramserv, frame and
+# lineage included — nothing is skipped), followed by the compressed
 # lm-loop determinism gate run twice in one process (-count=2 compares
 # fingerprints across invocations via package state), and a bench smoke that
 # drives the tiled GEMM engine's multi-threaded row-panel workers plus the

@@ -84,15 +84,17 @@ func BenchmarkFig5aBaselinesDenseJulia(b *testing.B) {
 func BenchmarkFig5aBaselinesDenseSysDS(b *testing.B) {
 	dir, xPath, yPath := figureFiles(b, 1.0, 103)
 	benchmarkFig5aSystem(b, func(k int) error {
-		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false, false)
+		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false)
 		return err
 	})
 }
 
 func BenchmarkFig5aBaselinesDenseSysDSBLAS(b *testing.B) {
 	dir, xPath, yPath := figureFiles(b, 1.0, 104)
+	prev := matrix.SetGEMMKernel(matrix.GEMMTiled)
+	defer matrix.SetGEMMKernel(prev)
 	benchmarkFig5aSystem(b, func(k int) error {
-		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false, true)
+		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false)
 		return err
 	})
 }
@@ -138,7 +140,7 @@ func BenchmarkFig5bBaselinesSparseJulia(b *testing.B) {
 func BenchmarkFig5bBaselinesSparseSysDS(b *testing.B) {
 	dir, xPath, yPath := figureFiles(b, 0.1, 105)
 	benchmarkFig5aSystem(b, func(k int) error {
-		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false, false)
+		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false)
 		return err
 	})
 }
@@ -148,7 +150,7 @@ func BenchmarkFig5bBaselinesSparseSysDS(b *testing.B) {
 func BenchmarkFig5cReuseDenseOff(b *testing.B) {
 	dir, xPath, yPath := figureFiles(b, 1.0, 106)
 	benchmarkFig5aSystem(b, func(k int) error {
-		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false, false)
+		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, false)
 		return err
 	})
 }
@@ -156,7 +158,7 @@ func BenchmarkFig5cReuseDenseOff(b *testing.B) {
 func BenchmarkFig5cReuseDenseOn(b *testing.B) {
 	dir, xPath, yPath := figureFiles(b, 1.0, 107)
 	benchmarkFig5aSystem(b, func(k int) error {
-		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, true, false)
+		_, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, k, true)
 		return err
 	})
 }
@@ -175,7 +177,7 @@ func BenchmarkFig5dReuseSparse(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, benchScale.KFixed, reuse, false); err != nil {
+					if _, _, err := experiments.RunSysDSWorkload(dir, xPath, yPath, benchScale.KFixed, reuse); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -273,17 +275,6 @@ func BenchmarkKernelGEMMTiled1024(b *testing.B) {
 
 func BenchmarkKernelGEMMTiled2048(b *testing.B) {
 	benchGEMMKernel(b, 2048, 2048, 2048, matrix.GEMMTiled)
-}
-
-func BenchmarkKernelGEMMBLASLike(b *testing.B) {
-	x := matrix.RandUniform(512, 256, -1, 1, 1.0, 5)
-	y := matrix.RandUniform(256, 128, -1, 1, 1.0, 6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := matrix.MultiplyBLAS(x, y, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // benchMultiplyAccKernel times the accumulate form the blocked dist executors

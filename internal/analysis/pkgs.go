@@ -82,7 +82,6 @@ var layerRank = map[string]int{
 	"lineage":      0,
 	"builtins":     0,
 	"matrix":       1,
-	"tensor":       1,
 	"compress":     2,
 	"frame":        2,
 	"paramserv":    2,

@@ -48,9 +48,9 @@ type Compiler struct {
 	annotate func(*hops.Hop) string
 	// compressedVars tracks, across DAG and block boundaries, which variables
 	// hold a compressed matrix at runtime: set when a fired compression site
-	// (or a transpose view of one) writes the variable, cleared on any other
-	// reassignment. Transient reads of tracked variables are marked
-	// CompressedRead so pricing and EXPLAIN see the representation.
+	// writes the variable, cleared on any other reassignment. Transient reads
+	// of tracked variables are marked CompressedRead so pricing and EXPLAIN
+	// see the representation.
 	compressedVars map[string]bool
 }
 

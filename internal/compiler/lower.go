@@ -49,12 +49,15 @@ func (bb *blockBuilder) flush() error {
 	// subexpressions are single hops and consumer counts are exact) and
 	// before exec-type selection (fusion is gated on the planner's own
 	// predicate over the same params, so it never steals work from the
-	// blocked backend); sizes are re-propagated because fusion rewrites
-	// producer/consumer edges
+	// blocked backend). The left-transpose rewrite follows it, so mmchain
+	// patterns win over t(X) %*% B; fusion rewrites hops in place with their
+	// sizes unchanged, so one re-propagation after both passes covers the
+	// edges and hops they introduce
 	if !bb.c.cfg.FusionDisabled {
 		hops.FuseOperators(bb.dag, params)
-		hops.PropagateSizes(bb.dag, bb.known)
 	}
+	hops.RewriteLeftTranspose(bb.dag)
+	hops.PropagateSizes(bb.dag, bb.known)
 	// mark transient reads of variables compressed by an earlier DAG, so the
 	// planner prices their compressed bytes and EXPLAIN tags the CLA kernels
 	for _, h := range bb.dag.Nodes() {

@@ -61,7 +61,7 @@ s = sum(w)`
 // low-cardinality matrix runs with at least one compression and exactly zero
 // decompressions — the Gram matrix comes from the compressed TSMM kernel
 // (counts-weighted dictionary self and cross products), t(X) %*% y from the
-// vector-matrix kernel over the lazy transpose view — and matches the
+// vector-matrix kernel after the left-transpose rewrite — and matches the
 // uncompressed CP run within 1e-9.
 func TestCompressedNormalEquationLm(t *testing.T) {
 	x := lowCardFeatures(2000, 200, 101)
@@ -349,8 +349,8 @@ for (i in 1:5) {
 
 // TestCompressedSinksDecompressTransparently asserts the "nothing breaks"
 // half of the fallback policy at every sink: a compressed loop operand can be
-// requested as a script output, printed, written to a file, and consumed
-// through its lazy transpose by operators without a compressed kernel.
+// requested as a script output, printed, written to a file, and transposed
+// for operators without a compressed kernel.
 func TestCompressedSinksDecompressTransparently(t *testing.T) {
 	x := lowCardFeatures(2000, 200, 81)
 	dir := t.TempDir()

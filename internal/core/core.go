@@ -385,8 +385,6 @@ func fromRuntimeData(d runtime.Data) (any, error) {
 	case *runtime.CompressedMatrixObject:
 		// API outputs are sinks: decompress transparently (counted)
 		return x.DecompressFor("output")
-	case *runtime.TransposedCompressedObject:
-		return x.MaterializeFor("output")
 	case *runtime.FrameObject:
 		return x.Frame, nil
 	case *runtime.FederatedObject:

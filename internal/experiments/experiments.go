@@ -165,10 +165,9 @@ func substituteScript(xPath, yPath, bPath string, k int) string {
 
 // RunSysDSWorkload runs the end-to-end DML workload (CSV read, k models,
 // CSV write) with the given configuration and returns the elapsed time.
-func RunSysDSWorkload(dir, xPath, yPath string, k int, reuse, useBLAS bool) (time.Duration, *core.Stats, error) {
+func RunSysDSWorkload(dir, xPath, yPath string, k int, reuse bool) (time.Duration, *core.Stats, error) {
 	cfg := runtime.DefaultConfig()
 	cfg.ReuseEnabled = reuse
-	cfg.UseBLAS = useBLAS
 	engine := core.NewEngine(cfg)
 	engine.SetOutput(discard{})
 	bPath := filepath.Join(dir, fmt.Sprintf("B_%d.csv", time.Now().UnixNano()))
@@ -235,11 +234,15 @@ func Figure5a(scale Scale, dir string) (*Figure, error) {
 		}},
 		{"Julia", func(k int) (time.Duration, error) { return RunBaselineWorkload(dir, xPath, yPath, k, baselines.Eager) }},
 		{"SysDS", func(k int) (time.Duration, error) {
-			d, _, err := RunSysDSWorkload(dir, xPath, yPath, k, false, false)
+			d, _, err := RunSysDSWorkload(dir, xPath, yPath, k, false)
 			return d, err
 		}},
 		{"SysDS-B", func(k int) (time.Duration, error) {
-			d, _, err := RunSysDSWorkload(dir, xPath, yPath, k, false, true)
+			// the "native BLAS" series forces the tiled register-blocked
+			// engine at every size instead of only above the crossover
+			prev := matrix.SetGEMMKernel(matrix.GEMMTiled)
+			defer matrix.SetGEMMKernel(prev)
+			d, _, err := RunSysDSWorkload(dir, xPath, yPath, k, false)
 			return d, err
 		}},
 	}
@@ -276,7 +279,7 @@ func Figure5b(scale Scale, dir string) (*Figure, error) {
 		}},
 		{"Julia", func(k int) (time.Duration, error) { return RunBaselineWorkload(dir, xPath, yPath, k, baselines.Eager) }},
 		{"SysDS", func(k int) (time.Duration, error) {
-			d, _, err := RunSysDSWorkload(dir, xPath, yPath, k, false, false)
+			d, _, err := RunSysDSWorkload(dir, xPath, yPath, k, false)
 			return d, err
 		}},
 	}
@@ -310,7 +313,7 @@ func Figure5c(scale Scale, dir string) (*Figure, error) {
 		}
 		series := Series{Label: label}
 		for _, k := range scale.Ks {
-			elapsed, _, err := RunSysDSWorkload(dir, xPath, yPath, k, reuse, false)
+			elapsed, _, err := RunSysDSWorkload(dir, xPath, yPath, k, reuse)
 			if err != nil {
 				return nil, fmt.Errorf("%s k=%d: %w", label, k, err)
 			}
@@ -333,11 +336,11 @@ func Figure5d(scale Scale, dir string) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		e1, _, err := RunSysDSWorkload(dir, xPath, yPath, scale.KFixed, false, false)
+		e1, _, err := RunSysDSWorkload(dir, xPath, yPath, scale.KFixed, false)
 		if err != nil {
 			return nil, err
 		}
-		e2, _, err := RunSysDSWorkload(dir, xPath, yPath, scale.KFixed, true, false)
+		e2, _, err := RunSysDSWorkload(dir, xPath, yPath, scale.KFixed, true)
 		if err != nil {
 			return nil, err
 		}

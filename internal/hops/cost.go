@@ -229,10 +229,10 @@ func ShouldCompress(h *Hop, p PlannerParams) bool {
 }
 
 // CompressedOutput reports whether a HOP's result lives in compressed
-// representation at runtime: a fired compression site, a transient read of a
-// variable compressed in an earlier DAG (CompressedRead, tracked by the
-// compiler), or a transpose of either — the runtime keeps t(X) of compressed
-// X as a zero-cost view on the column groups.
+// representation at runtime: a fired compression site or a transient read of
+// a variable compressed in an earlier DAG (CompressedRead, tracked by the
+// compiler). A transpose of either is a decompressed dense result; the
+// left-transpose rewrite keeps t(X) %*% B on the compressed kernels.
 func CompressedOutput(h *Hop) bool {
 	if h == nil {
 		return false
@@ -240,13 +240,7 @@ func CompressedOutput(h *Hop) bool {
 	if h.CompressedRead {
 		return true
 	}
-	if h.Kind == KindCompress && h.CompressFire {
-		return true
-	}
-	if h.Kind == KindReorg && h.Op == "t" && len(h.Inputs) == 1 {
-		return CompressedOutput(h.Inputs[0])
-	}
-	return false
+	return h.Kind == KindCompress && h.CompressFire
 }
 
 // hasCompressedInput reports whether any input of a HOP arrives compressed.
@@ -625,8 +619,8 @@ func blockedProducer(h *Hop) bool {
 // Plan runs the physical planner over a rewritten, size-annotated DAG: it
 // attaches cost estimates, selects execution types by comparing the modeled
 // costs of the feasible placements, and chooses the physical matmult strategy
-// for distributed multiplications. It replaces the former threshold-only
-// SelectExecTypes as the single decision site.
+// for distributed multiplications. It is the single decision site for
+// execution types.
 func Plan(d *DAG, p PlannerParams) {
 	for _, h := range d.Nodes() {
 		h.ExecType = types.ExecCP
@@ -748,9 +742,9 @@ func (d *DAG) ExplainPlanWith(annotate func(*Hop) string) string {
 		case h.Kind == KindMatMult && len(h.Inputs) == 2 && hasCompressedInput(h):
 			kernel := "cmm"
 			if CompressedOutput(h.Inputs[0]) && h.Inputs[1].DC.Cols == 1 {
-				kernel = "cmv" // X %*% v and t(X) %*% v pre-aggregate per group
+				kernel = "cmv" // X %*% v pre-aggregates per group
 			} else if !CompressedOutput(h.Inputs[0]) && h.Inputs[0].DC.Rows == 1 {
-				kernel = "cvm" // u %*% X, the vector-matrix kernel
+				kernel = "cvm" // u %*% X, also t(X) %*% v after the left-transpose rewrite
 			}
 			sb.WriteString(" kernel=" + kernel)
 		case (h.Kind == KindMatMult || h.Kind == KindTSMM) && h.CostEst.Known &&

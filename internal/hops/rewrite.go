@@ -196,9 +196,9 @@ func SimplifyAlgebraic(d *DAG) {
 	}
 }
 
-// FuseTranspose rewrites t(X) %*% X into the fused TSMM operator and marks
-// t(X) %*% Y patterns so lowering can use a transpose-fused multiply,
-// avoiding the materialized transpose TensorFlow pays for in Figure 5.
+// FuseTranspose rewrites t(X) %*% X into the fused TSMM operator, avoiding
+// the materialized transpose TensorFlow pays for in Figure 5. The general
+// t(X) %*% B form is RewriteLeftTranspose's.
 func FuseTranspose(d *DAG) {
 	for _, h := range d.Nodes() {
 		if h.Kind != KindMatMult || len(h.Inputs) != 2 {
@@ -212,6 +212,55 @@ func FuseTranspose(d *DAG) {
 			h.Inputs = []*Hop{right}
 		}
 	}
+}
+
+// RewriteLeftTranspose applies SystemML's left-transpose matmult rewrite
+// t(X) %*% B -> t(t(B) %*% X) to a size-annotated DAG. With t(X) m x cd and
+// B cd x n it fires only when transposing B and the m x n result moves fewer
+// cells than transposing X (m*cd > cd*n + m*n): always for a vector B, never
+// for a wide one, and never with unknown sizes. The rewritten product reads X
+// in place, so dense X is not copied per use and compressed X stays
+// compressed (u %*% X is the CLA vector-matrix kernel). Every output cell
+// still sums the same products over ascending k, so for finite inputs the
+// result is bitwise equal to the original plan. It runs after FuseOperators,
+// whose mmchain patterns read X directly and must keep precedence, and it
+// rewrites the matmult in place (the hop becomes the outer transpose), so
+// its consumers are untouched; sizes must be re-propagated afterwards.
+func RewriteLeftTranspose(d *DAG) {
+	for _, h := range d.Nodes() {
+		if h.Kind != KindMatMult || len(h.Inputs) != 2 {
+			continue
+		}
+		tx, b := h.Inputs[0], h.Inputs[1]
+		if tx.Kind != KindReorg || tx.Op != "t" || len(tx.Inputs) != 1 || !leftTransposeCheaper(tx.DC, b.DC) {
+			continue
+		}
+		mm := NewHop(KindMatMult, "ba+*", transposeOf(b), tx.Inputs[0])
+		mm.DataType = types.Matrix
+		h.Kind = KindReorg
+		h.Op = "t"
+		h.Inputs = []*Hop{mm}
+	}
+}
+
+// leftTransposeCheaper is RewriteLeftTranspose's cost condition over the
+// m x cd left operand t(X) and the cd x n right operand B.
+func leftTransposeCheaper(tx, b types.DataCharacteristics) bool {
+	if !tx.DimsKnown() || !b.DimsKnown() {
+		return false
+	}
+	m, cd, n := float64(tx.Rows), float64(tx.Cols), float64(b.Cols)
+	return m*cd > cd*n+m*n
+}
+
+// transposeOf returns a transpose HOP of h, folding t(t(Z)) to Z.
+func transposeOf(h *Hop) *Hop {
+	if h.Kind == KindReorg && h.Op == "t" && len(h.Inputs) == 1 {
+		return h.Inputs[0]
+	}
+	t := NewHop(KindReorg, "t", h)
+	t.DataType = types.Matrix
+	return t
 }
 
 // EliminateCommonSubexpressions merges structurally identical operations so

@@ -113,8 +113,7 @@ func (i *CastInst) Execute(ctx *runtime.Context) error {
 		switch v := d.(type) {
 		case *runtime.Scalar:
 			ctx.Set(i.outs[0], v)
-		case *runtime.MatrixObject, *runtime.BlockedMatrixObject,
-			*runtime.CompressedMatrixObject, *runtime.TransposedCompressedObject:
+		case *runtime.MatrixObject, *runtime.BlockedMatrixObject, *runtime.CompressedMatrixObject:
 			blk, err := i.In.MatrixBlockFor(ctx, i.opcode)
 			if err != nil {
 				return err
@@ -132,7 +131,7 @@ func (i *CastInst) Execute(ctx *runtime.Context) error {
 			ctx.Set(i.outs[0], v)
 		case *runtime.BlockedMatrixObject:
 			ctx.Set(i.outs[0], v)
-		case *runtime.CompressedMatrixObject, *runtime.TransposedCompressedObject:
+		case *runtime.CompressedMatrixObject:
 			// as.matrix of a compressed value is the value itself: keep the
 			// compressed representation, consumers dispatch as usual
 			ctx.Set(i.outs[0], v)
@@ -456,12 +455,6 @@ func resolveFrame(ctx *runtime.Context, op Operand) (*frame.FrameBlock, error) {
 		return frame.FromMatrix(blk), nil
 	case *runtime.CompressedMatrixObject:
 		blk, err := v.DecompressFor("frame")
-		if err != nil {
-			return nil, err
-		}
-		return frame.FromMatrix(blk), nil
-	case *runtime.TransposedCompressedObject:
-		blk, err := v.MaterializeFor("frame")
 		if err != nil {
 			return nil, err
 		}

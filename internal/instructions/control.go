@@ -57,8 +57,7 @@ func (i *PrintInst) Execute(ctx *runtime.Context) error {
 	switch v := d.(type) {
 	case *runtime.Scalar:
 		fmt.Fprintln(ctx.Out, v.StringValue())
-	case *runtime.MatrixObject, *runtime.BlockedMatrixObject,
-		*runtime.CompressedMatrixObject, *runtime.TransposedCompressedObject:
+	case *runtime.MatrixObject, *runtime.BlockedMatrixObject, *runtime.CompressedMatrixObject:
 		// sinks acquire local matrices, lazily collect blocked ones and
 		// transparently decompress compressed ones
 		blk, err := i.In.MatrixBlockFor(ctx, i.opcode)
@@ -227,8 +226,7 @@ func (i *WriteInst) Execute(ctx *runtime.Context) error {
 		return err
 	}
 	switch v := d.(type) {
-	case *runtime.MatrixObject, *runtime.BlockedMatrixObject,
-		*runtime.CompressedMatrixObject, *runtime.TransposedCompressedObject:
+	case *runtime.MatrixObject, *runtime.BlockedMatrixObject, *runtime.CompressedMatrixObject:
 		// sinks acquire local matrices, lazily collect blocked ones and
 		// transparently decompress compressed ones
 		blk, err := i.In.MatrixBlockFor(ctx, i.opcode)

@@ -127,9 +127,6 @@ func matrixDims(d runtime.Data) (rows, cols int64, ok bool) {
 	case *runtime.CompressedMatrixObject:
 		dc := v.DataCharacteristics()
 		return dc.Rows, dc.Cols, true
-	case *runtime.TransposedCompressedObject:
-		dc := v.DataCharacteristics()
-		return dc.Rows, dc.Cols, true
 	}
 	return 0, 0, false
 }

@@ -26,7 +26,7 @@ func (t *TransposedFederated) String() string {
 }
 
 // MatMultInst computes matrix multiplication (opcode "ba+*") with local,
-// BLAS-like, distributed and federated execution paths. For distributed
+// compressed, distributed and federated execution paths. For distributed
 // execution the instruction is the executor of a named physical plan: the
 // compiler's cost-based planner (hops/cost.go) decides the strategy at
 // compile time and annotates it here; the runtime never re-decides against
@@ -80,6 +80,21 @@ func (i *MatMultInst) Execute(ctx *runtime.Context) error {
 		ctx.SetMatrix(i.outs[0], res)
 		return nil
 	}
+	if fo, ok := r.(*runtime.FederatedObject); ok {
+		// U %*% X with local U (the left-transpose rewrite's t(y) %*% X):
+		// t(t(X) %*% t(U)) ships the per-site slices of t(U) and sums the
+		// partial products, so only the small result comes back
+		lb, err := i.Left.MatrixBlockFor(ctx, i.opcode)
+		if err != nil {
+			return err
+		}
+		res, err := fo.Fed.XtLocalY(matrix.Transpose(lb))
+		if err != nil {
+			return err
+		}
+		ctx.SetMatrix(i.outs[0], matrix.Transpose(res))
+		return nil
+	}
 	threads := ctx.Config.Threads()
 	// compressed paths: the hot MV/VM products of iterative algorithms run
 	// directly on the compressed representation; any other shape combination
@@ -98,12 +113,7 @@ func (i *MatMultInst) Execute(ctx *runtime.Context) error {
 	if err != nil {
 		return err
 	}
-	var res *matrix.MatrixBlock
-	if ctx.Config.UseBLAS && !lb.IsSparse() && !rb.IsSparse() {
-		res, err = matrix.MultiplyBLAS(lb, rb, threads)
-	} else {
-		res, err = matrix.Multiply(lb, rb, threads)
-	}
+	res, err := matrix.Multiply(lb, rb, threads)
 	if err != nil {
 		return fmt.Errorf("instructions: matrix multiplication: %w", err)
 	}
@@ -112,11 +122,9 @@ func (i *MatMultInst) Execute(ctx *runtime.Context) error {
 }
 
 // executeCompressed runs matrix multiplications with a compressed operand
-// directly on the column groups when the shape is one the CLA kernels
-// pre-aggregate: X %*% v (matrix-vector), X %*% B (matrix right-hand side),
-// t(X) %*% v and t(X) %*% B on the lazy transpose marker, t(X) %*% X
-// (compressed TSMM), and u %*% X (vector-matrix). It reports whether it
-// handled the operation.
+// directly on the column groups: X %*% v (matrix-vector), X %*% B (matrix
+// right-hand side), u %*% X (vector-matrix) and U %*% X (transposed matrix
+// right-hand side). It reports whether it handled the operation.
 func (i *MatMultInst) executeCompressed(ctx *runtime.Context, l, r runtime.Data, threads int) (bool, error) {
 	// X %*% v / X %*% B with compressed X
 	if co, ok := resolveCompressed(l); ok {
@@ -168,64 +176,12 @@ func (i *MatMultInst) executeCompressed(ctx *runtime.Context, l, r runtime.Data,
 			return true, nil
 		}
 	}
-	// t(X) %*% ... with the lazy transpose of compressed X: the vector-matrix,
-	// transposed matrix-matrix and TSMM kernels over X itself — no transpose
-	// ever materializes
-	if tc, ok := l.(*runtime.TransposedCompressedObject); ok {
-		// t(X) %*% X over the same compressed object is the Gram matrix; a
-		// defensive net under the tsmm rewrite (which normally catches this
-		// form at the HOP level)
-		if co, ok := resolveCompressed(r); ok && co == tc.Source {
-			cm, err := co.Compressed()
-			if err != nil {
-				return true, err
-			}
-			res := cm.TSMM(threads)
-			ctx.CountCompressedOp()
-			ctx.RecordPlan(i.opcode, "ctsmm:"+cm.EncodingSummary(), i.EstBytes, res.InMemorySize())
-			ctx.SetMatrix(i.outs[0], res)
-			return true, nil
-		}
-		if _, rc, rok := matrixDims(r); rok {
-			cm, err := tc.Source.Compressed()
-			if err != nil {
-				return true, err
-			}
-			rb, err := i.Right.MatrixBlockFor(ctx, i.opcode)
-			if err != nil {
-				return true, err
-			}
-			if rc == 1 {
-				rowVec, err := rb.Reshape(1, rb.Rows(), true)
-				if err != nil {
-					return true, err
-				}
-				res, err := cm.VecMat(rowVec, threads)
-				if err != nil {
-					return true, err
-				}
-				col, err := res.Reshape(res.Cols(), 1, true)
-				if err != nil {
-					return true, err
-				}
-				ctx.CountCompressedOp()
-				ctx.RecordPlan(i.opcode, "cvm:"+cm.EncodingSummary(), i.EstBytes, col.InMemorySize())
-				ctx.SetMatrix(i.outs[0], col)
-				return true, nil
-			}
-			res, err := cm.TransMatMultDense(rb, threads)
-			if err != nil {
-				return true, err
-			}
-			ctx.CountCompressedOp()
-			ctx.RecordPlan(i.opcode, "cmm:"+cm.EncodingSummary(), i.EstBytes, res.InMemorySize())
-			ctx.SetMatrix(i.outs[0], res)
-			return true, nil
-		}
-	}
-	// u %*% X with compressed X and a row vector u
+	// u %*% X / U %*% X with compressed X: the vector-matrix kernel for a row
+	// vector, t(t(X) %*% t(U)) over the transposed matrix-RHS kernel for a
+	// matrix — the plans the left-transpose rewrite makes of t(X) %*% v and
+	// t(X) %*% B
 	if co, ok := resolveCompressed(r); ok {
-		if lr, _, lok := matrixDims(l); lok && lr == 1 {
+		if _, _, lok := matrixDims(l); lok {
 			cm, err := co.Compressed()
 			if err != nil {
 				return true, err
@@ -234,12 +190,22 @@ func (i *MatMultInst) executeCompressed(ctx *runtime.Context, l, r runtime.Data,
 			if err != nil {
 				return true, err
 			}
-			res, err := cm.VecMat(lb, threads)
+			kernel := "cvm"
+			var res *matrix.MatrixBlock
+			if lb.Rows() == 1 {
+				res, err = cm.VecMat(lb, threads)
+			} else {
+				kernel = "cmm"
+				res, err = cm.TransMatMultDense(matrix.Transpose(lb), threads)
+				if err == nil {
+					res = matrix.Transpose(res)
+				}
+			}
 			if err != nil {
 				return true, err
 			}
 			ctx.CountCompressedOp()
-			ctx.RecordPlan(i.opcode, "cvm:"+cm.EncodingSummary(), i.EstBytes, res.InMemorySize())
+			ctx.RecordPlan(i.opcode, kernel+":"+cm.EncodingSummary(), i.EstBytes, res.InMemorySize())
 			ctx.SetMatrix(i.outs[0], res)
 			return true, nil
 		}

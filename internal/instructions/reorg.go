@@ -41,21 +41,6 @@ func (i *ReorgInst) Execute(ctx *runtime.Context) error {
 		ctx.Set(i.outs[0], &TransposedFederated{Source: fo})
 		return nil
 	}
-	// transpose of a compressed matrix stays a zero-cost view: t(X) %*% v
-	// consumers run the vector-matrix kernel over the groups, and t(t(X))
-	// folds back to the source
-	if i.opcode == "r'" {
-		if co, ok := resolveCompressed(d); ok {
-			ctx.CountCompressedOp()
-			ctx.Set(i.outs[0], &runtime.TransposedCompressedObject{Source: co})
-			return nil
-		}
-		if tc, ok := d.(*runtime.TransposedCompressedObject); ok {
-			ctx.CountCompressedOp()
-			ctx.Set(i.outs[0], tc.Source)
-			return nil
-		}
-	}
 	// blocked transpose: per-block transpose with mirrored grid coordinates;
 	// other reorg ops fall back to the local kernel (collecting lazily)
 	if i.opcode == "r'" && useDist(ctx, i.ExecType, d) {

@@ -75,7 +75,7 @@ func (i *UnaryInst) Execute(ctx *runtime.Context) error {
 		ctx.CountCompressedOp()
 		ctx.SetCompressed(i.outs[0], cm.MapValues(op.Apply, ctx.Config.Threads()))
 		return nil
-	case *runtime.MatrixObject, *runtime.BlockedMatrixObject, *runtime.TransposedCompressedObject:
+	case *runtime.MatrixObject, *runtime.BlockedMatrixObject:
 		if useDist(ctx, i.ExecType, d) {
 			bm, err := resolveBlockedData(ctx, d, i.In)
 			if err != nil {

@@ -265,8 +265,6 @@ func parseDataTypeName(s string) (types.DataType, bool) {
 		return types.Matrix, true
 	case "Frame", "frame":
 		return types.Frame, true
-	case "Tensor", "tensor":
-		return types.Tensor, true
 	case "List", "list":
 		return types.List, true
 	case "Double", "double", "Integer", "integer", "Int", "Boolean", "boolean", "String", "string", "Scalar", "scalar":

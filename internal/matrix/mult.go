@@ -36,27 +36,14 @@ func Multiply(a, b *MatrixBlock, threads int) (*MatrixBlock, error) {
 	case b.IsSparse():
 		out = multDenseSparse(a, b, threads)
 	default:
-		out = multDenseDense(a, b, threads, false)
+		out = NewDense(a.rows, b.cols)
+		// the dense kernel IS one accumulate pass into a zeroed output;
+		// sharing gemmAcc keeps its per-cell accumulation order structurally
+		// identical to MultiplyAcc (the bitwise-equality contract of the
+		// blocked shuffle/broadcast-left executors)
+		out.nnz = gemmAcc(out, a, b, threads)
 	}
 	return out, nil
-}
-
-// MultiplyBLAS computes a %*% b with the register-blocked dense engine that
-// stands in for a native BLAS library (SysDS-B in Figure 5(a)): the tiled
-// micro-kernel above the size crossover, the unrolled blocked loop below it.
-// Sparse inputs are densified first.
-func MultiplyBLAS(a, b *MatrixBlock, threads int) (*MatrixBlock, error) {
-	if a.cols != b.rows {
-		return nil, fmt.Errorf("matrix: multiply dimension mismatch %dx%d %%*%% %dx%d", a.rows, a.cols, b.rows, b.cols)
-	}
-	threads = resolveThreads(threads)
-	ad, bd := asDense(a), asDense(b)
-	if gemmUseTiled(ad.rows, ad.cols, bd.cols) {
-		out := NewDense(ad.rows, bd.cols)
-		out.nnz = accDenseDenseTiled(out, ad, bd, threads)
-		return out, nil
-	}
-	return multDenseDense(ad, bd, threads, true), nil
 }
 
 // asDense returns m itself when already dense, or a fresh dense block
@@ -121,57 +108,6 @@ func countRowRangeNNZ(cv []float64, n, r0, r1 int) int64 {
 		}
 	}
 	return cnt
-}
-
-// multDenseDense is the dense GEMM kernel. The standard kernel uses an
-// i-k-j loop order with cache blocking over k and j; the "blas" variant adds
-// 4-way unrolling over j to approximate a vectorized library kernel.
-func multDenseDense(a, b *MatrixBlock, threads int, blas bool) *MatrixBlock {
-	m, k, n := a.rows, a.cols, b.cols
-	out := NewDense(m, n)
-	if !blas {
-		// the standard kernel IS one accumulate pass into a zeroed output;
-		// sharing gemmAcc keeps its per-cell accumulation order structurally
-		// identical to MultiplyAcc (the bitwise-equality contract of the
-		// blocked shuffle/broadcast-left executors)
-		out.nnz = gemmAcc(out, a, b, threads)
-		return out
-	}
-	av, bv, cv := a.dense, b.dense, out.dense
-	var nnz atomic.Int64
-	const blkK, blkJ = 64, 512
-	parallelRows(m, threads, func(r0, r1 int) {
-		for kk := 0; kk < k; kk += blkK {
-			kmax := min(kk+blkK, k)
-			for jj := 0; jj < n; jj += blkJ {
-				jmax := min(jj+blkJ, n)
-				for i := r0; i < r1; i++ {
-					ci := cv[i*n : (i+1)*n]
-					ai := av[i*k : (i+1)*k]
-					for kp := kk; kp < kmax; kp++ {
-						aval := ai[kp]
-						if aval == 0 {
-							continue
-						}
-						brow := bv[kp*n : (kp+1)*n]
-						j := jj
-						for ; j+4 <= jmax; j += 4 {
-							ci[j] += float64(aval * brow[j])
-							ci[j+1] += float64(aval * brow[j+1])
-							ci[j+2] += float64(aval * brow[j+2])
-							ci[j+3] += float64(aval * brow[j+3])
-						}
-						for ; j < jmax; j++ {
-							ci[j] += float64(aval * brow[j])
-						}
-					}
-				}
-			}
-		}
-		nnz.Add(countRowRangeNNZ(cv, n, r0, r1))
-	})
-	out.nnz = nnz.Load()
-	return out
 }
 
 // gemmAcc accumulates dense(a) %*% dense(b) into the dense accumulator with
@@ -463,13 +399,4 @@ func tsmmSparse(x, out *MatrixBlock, threads int) {
 			cv[i] += p[i]
 		}
 	}
-}
-
-// MatVec computes the matrix-vector product a %*% v where v is a column
-// vector (cols == 1).
-func MatVec(a, v *MatrixBlock, threads int) (*MatrixBlock, error) {
-	if v.cols != 1 || a.cols != v.rows {
-		return nil, fmt.Errorf("matrix: matvec dimension mismatch %dx%d %%*%% %dx%d", a.rows, a.cols, v.rows, v.cols)
-	}
-	return Multiply(a, v, threads)
 }

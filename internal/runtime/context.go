@@ -55,9 +55,6 @@ type Config struct {
 	CompressionEnabled bool
 	// DistBlocksize is the block size of the distributed backend.
 	DistBlocksize int
-	// UseBLAS selects the register-blocked "native BLAS" dense kernel for
-	// matrix multiplications (SysDS-B in Figure 5(a)).
-	UseBLAS bool
 	// TempDir is the spill directory of the buffer pool.
 	TempDir string
 	// PersistentLineageDir, when non-empty, roots the cross-run persistent
@@ -96,7 +93,6 @@ func DefaultConfig() *Config {
 		CacheBudget:        1 << 30,
 		DistEnabled:        false,
 		DistBlocksize:      types.DefaultBlocksize,
-		UseBLAS:            false,
 		TempDir:            os.TempDir(),
 	}
 }
@@ -429,8 +425,6 @@ func (ctx *Context) GetMatrixBlockFor(name, op string) (*matrix.MatrixBlock, err
 		// kernel gets the local block; the (memoized) decompression is counted
 		// per-opcode so the fallback is observable, and nothing breaks
 		return v.DecompressFor(op)
-	case *TransposedCompressedObject:
-		return v.MaterializeFor(op)
 	case *Scalar:
 		m := matrix.NewDense(1, 1)
 		m.Set(0, 0, v.Float64())

@@ -340,8 +340,6 @@ func SizeOf(d Data) int64 {
 		return types.EstimateSize(v.DataCharacteristics())
 	case *CompressedMatrixObject:
 		return v.MemorySize()
-	case *TransposedCompressedObject:
-		return 64
 	case *FrameObject:
 		return int64(v.Frame.NumRows()*v.Frame.NumCols()) * 16
 	case *ListObject:

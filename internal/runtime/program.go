@@ -470,9 +470,6 @@ func localMatrixOf(d Data) (*matrix.MatrixBlock, bool, error) {
 	case *CompressedMatrixObject:
 		blk, err := v.DecompressFor("parfor-merge")
 		return blk, true, err
-	case *TransposedCompressedObject:
-		blk, err := v.MaterializeFor("parfor-merge")
-		return blk, true, err
 	}
 	return nil, false, nil
 }

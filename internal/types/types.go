@@ -1,8 +1,8 @@
 // Package types defines the common value types, data types, schemas and
 // size metadata (data characteristics) shared by the SystemDS-Go compiler
 // and runtime. It mirrors the data model described in Section 2.4 of the
-// SystemDS paper: numeric matrices, heterogeneous tensors, frames with a
-// schema, scalars and lists.
+// SystemDS paper: numeric matrices, frames with a schema, scalars and
+// lists.
 package types
 
 import (
@@ -10,8 +10,8 @@ import (
 	"strings"
 )
 
-// ValueType enumerates the cell value types supported by tensors, frames
-// and scalars. FP64 is the default numeric type used by matrices.
+// ValueType enumerates the cell value types supported by frames and
+// scalars. FP64 is the default numeric type used by matrices.
 type ValueType int
 
 // Supported value types.
@@ -73,7 +73,7 @@ func (v ValueType) Size() int64 {
 }
 
 // ParseValueType parses a DML value type name ("double", "integer",
-// "boolean", "string", or the tensor type names) into a ValueType.
+// "boolean", "string", or the precision-qualified names) into a ValueType.
 func ParseValueType(s string) (ValueType, error) {
 	switch strings.ToLower(s) {
 	case "double", "fp64", "float64":
@@ -101,7 +101,6 @@ const (
 	UnknownData DataType = iota
 	Scalar
 	Matrix
-	Tensor
 	Frame
 	List
 )
@@ -113,8 +112,6 @@ func (d DataType) String() string {
 		return "SCALAR"
 	case Matrix:
 		return "MATRIX"
-	case Tensor:
-		return "TENSOR"
 	case Frame:
 		return "FRAME"
 	case List:
@@ -131,8 +128,6 @@ func ParseDataType(s string) (DataType, error) {
 		return Scalar, nil
 	case "matrix":
 		return Matrix, nil
-	case "tensor":
-		return Tensor, nil
 	case "frame":
 		return Frame, nil
 	case "list":
@@ -142,8 +137,7 @@ func ParseDataType(s string) (DataType, error) {
 	}
 }
 
-// Schema describes the per-column value types of a frame or the schema
-// dimension of a heterogeneous data tensor.
+// Schema describes the per-column value types of a frame.
 type Schema []ValueType
 
 // UniformSchema creates a schema of n columns all having value type vt.
@@ -177,13 +171,11 @@ func (s Schema) Equal(o Schema) bool {
 	return true
 }
 
-// DataCharacteristics captures the size metadata of a matrix, tensor or
-// frame: dimensions, block size and number of non-zero values. It is the
+// DataCharacteristics captures the size metadata of a matrix or frame: dimensions, block size and number of non-zero values. It is the
 // unit of size propagation in the compiler (Section 2.3).
 type DataCharacteristics struct {
 	Rows      int64
 	Cols      int64
-	Dims      []int64 // set for tensors with more than two dimensions
 	Blocksize int
 	NNZ       int64 // -1 if unknown
 }
@@ -214,16 +206,6 @@ func (dc DataCharacteristics) NNZKnown() bool { return dc.NNZ >= 0 }
 func (dc DataCharacteristics) Cells() int64 {
 	if !dc.DimsKnown() {
 		return -1
-	}
-	if len(dc.Dims) > 0 {
-		n := int64(1)
-		for _, d := range dc.Dims {
-			if d < 0 {
-				return -1
-			}
-			n *= d
-		}
-		return n
 	}
 	return dc.Rows * dc.Cols
 }

@@ -39,7 +39,7 @@ func TestValueTypeNumericAndSize(t *testing.T) {
 
 func TestDataTypeParse(t *testing.T) {
 	for in, want := range map[string]DataType{
-		"matrix": Matrix, "frame": Frame, "scalar": Scalar, "tensor": Tensor, "list": List,
+		"matrix": Matrix, "frame": Frame, "scalar": Scalar, "list": List,
 	} {
 		got, err := ParseDataType(in)
 		if err != nil || got != want {
@@ -82,10 +82,6 @@ func TestDataCharacteristics(t *testing.T) {
 	u := UnknownCharacteristics()
 	if u.DimsKnown() || u.Cells() != -1 || u.Sparsity() != 1.0 {
 		t.Error("unknown characteristics misreported")
-	}
-	nd := DataCharacteristics{Rows: 4, Cols: 4, Dims: []int64{4, 4, 4}, NNZ: -1}
-	if nd.Cells() != 64 {
-		t.Errorf("3d cells = %d", nd.Cells())
 	}
 }
 

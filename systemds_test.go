@@ -267,6 +267,54 @@ n = nrow(X)
 	}
 }
 
+// TestPublicAPIFederatedXtLocalY: t(X) %*% y with federated X and a local y.
+// The left-transpose rewrite plans it as t(t(y) %*% X), a local operand times
+// a federated one, which must push down to the sites and agree with the
+// product over the collected X.
+func TestPublicAPIFederatedXtLocalY(t *testing.T) {
+	x1, _ := systemds.SyntheticRegression(150, 4, 1.0, 51)
+	x2, _ := systemds.SyntheticRegression(150, 4, 1.0, 52)
+	s1, err := systemds.StartFederatedWorker("127.0.0.1:0", map[string]*systemds.Matrix{"X": x1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s1.Shutdown()
+	s2, err := systemds.StartFederatedWorker("127.0.0.1:0", map[string]*systemds.Matrix{"X": x2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown()
+	Xfed, err := systemds.Federated(300, 4, []systemds.FederatedRange{
+		{RowStart: 0, RowEnd: 150, ColStart: 0, ColEnd: 4, Address: s1.Addr, VarName: "X"},
+		{RowStart: 150, RowEnd: 300, ColStart: 0, ColEnd: 4, Address: s2.Addr, VarName: "X"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer Xfed.Close()
+	_, y := systemds.SyntheticRegression(300, 4, 1.0, 53)
+	res, err := systemds.NewContext().Execute(`b = t(X) %*% y`,
+		map[string]any{"X": Xfed, "y": y}, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := res.Matrix("b")
+	want, err := systemds.NewContext().Execute(`b = t(rbind(X1, X2)) %*% y`,
+		map[string]any{"X1": x1, "X2": x2, "y": y}, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, _ := want.Matrix("b")
+	if got.Rows() != 4 || got.Cols() != 1 {
+		t.Fatalf("federated t(X) %%*%% y is %dx%d, want 4x1", got.Rows(), got.Cols())
+	}
+	for r := 0; r < 4; r++ {
+		if d := got.Get(r, 0) - wb.Get(r, 0); d > 1e-9 || d < -1e-9 {
+			t.Errorf("row %d: %v, want %v", r, got.Get(r, 0), wb.Get(r, 0))
+		}
+	}
+}
+
 func TestPublicAPIDistributedBackendOption(t *testing.T) {
 	// force tiny operator budget so matrix multiplications compile to the
 	// blocked distributed backend, and verify results stay correct
