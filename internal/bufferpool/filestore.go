@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -119,7 +120,7 @@ func readIndexEntry(path string) (uint64, *fileEntry, bool) {
 	}
 	defer f.Close()
 	var header [fileStoreHeaderLen]byte
-	if _, err := f.Read(header[:]); err != nil {
+	if _, err := io.ReadFull(f, header[:]); err != nil {
 		return 0, nil, false
 	}
 	magic := binary.LittleEndian.Uint32(header[0:])
@@ -136,22 +137,10 @@ func readIndexEntry(path string) (uint64, *fileEntry, bool) {
 		return 0, nil, false
 	}
 	keyBytes := make([]byte, keyLen)
-	if _, err := readFull(f, keyBytes); err != nil {
+	if _, err := io.ReadFull(f, keyBytes); err != nil {
 		return 0, nil, false
 	}
 	return hash, &fileEntry{key: string(keyBytes), size: payloadLen, computeNs: computeNs}, true
-}
-
-func readFull(f *os.File, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		m, err := f.Read(buf[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
 }
 
 func (s *FileStore) path(hash uint64) string {

@@ -448,54 +448,58 @@ s = sum(A) + sum(B) + sum(E)
 // TestLmTraceLoopHasNoTransposeOfX compiles scripts/lm_trace.dml and asserts
 // that the plan the loop executes lowers the gradient step t(X) %*% (q - y)
 // without a transpose of X: the left-transpose rewrite turns it into
-// t(t(q - y) %*% X).
+// t(t(q - y) %*% X). The loop body compiles size-unknown (X comes from
+// rand), so the rewrite fires only after dynamic recompilation, which must
+// happen with fusion off too.
 func TestLmTraceLoopHasNoTransposeOfX(t *testing.T) {
 	src, err := os.ReadFile("../../scripts/lm_trace.dml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := newCompiler(nil).Compile(string(src), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := runtime.NewContext(runtime.DefaultConfig())
-	ctx.SetMatrix("X", matrix.NewDense(2000, 200))
-	ctx.SetMatrix("y", matrix.NewDense(2000, 1))
-	ctx.SetMatrix("w", matrix.NewDense(200, 1))
-	var loopMatMults int
-	check := func(instrs []runtime.Instruction) {
-		for _, inst := range instrs {
-			if r, ok := inst.(*instructions.ReorgInst); ok && r.Opcode() == "r'" && r.In.Name == "X" {
-				t.Errorf("transpose of X in the compiled plan")
-			}
-			if inst.Opcode() == "ba+*" {
-				loopMatMults++
+	for _, fusionDisabled := range []bool{false, true} {
+		cfg := runtime.DefaultConfig()
+		cfg.FusionDisabled = fusionDisabled
+		prog, err := newCompiler(cfg).Compile(string(src), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := runtime.NewContext(cfg)
+		ctx.SetMatrix("X", matrix.NewDense(2000, 200))
+		ctx.SetMatrix("y", matrix.NewDense(2000, 1))
+		ctx.SetMatrix("w", matrix.NewDense(200, 1))
+		var loopMatMults int
+		check := func(instrs []runtime.Instruction) {
+			for _, inst := range instrs {
+				if r, ok := inst.(*instructions.ReorgInst); ok && r.Opcode() == "r'" && r.In.Name == "X" {
+					t.Errorf("fusionDisabled=%v: transpose of X in the executed plan", fusionDisabled)
+				}
+				if inst.Opcode() == "ba+*" {
+					loopMatMults++
+				}
 			}
 		}
-	}
-	var walk func(blocks []runtime.ProgramBlock)
-	walk = func(blocks []runtime.ProgramBlock) {
-		for _, b := range blocks {
-			switch v := b.(type) {
-			case *runtime.BasicBlock:
-				if !v.RequiresRecompile {
-					check(v.Instructions)
-					continue
+		var walk func(blocks []runtime.ProgramBlock)
+		walk = func(blocks []runtime.ProgramBlock) {
+			for _, b := range blocks {
+				switch v := b.(type) {
+				case *runtime.BasicBlock:
+					if !v.RequiresRecompile {
+						check(v.Instructions)
+						continue
+					}
+					instrs, err := v.Recompile(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(instrs)
+				case *runtime.ForBlock:
+					walk(v.Body)
 				}
-				// X comes from rand, so the loop body compiles size-unknown
-				// and runs the plan re-lowered against live sizes
-				instrs, err := v.Recompile(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(instrs)
-			case *runtime.ForBlock:
-				walk(v.Body)
 			}
 		}
-	}
-	walk(prog.Blocks)
-	if loopMatMults == 0 {
-		t.Fatal("no matrix multiplication found in the compiled loop")
+		walk(prog.Blocks)
+		if loopMatMults == 0 {
+			t.Fatalf("fusionDisabled=%v: no matrix multiplication found in the compiled loop", fusionDisabled)
+		}
 	}
 }

@@ -26,8 +26,7 @@ type blockBuilder struct {
 	tracker *runtime.DepTracker
 	known   map[string]types.DataCharacteristics
 	// unknownSizes records whether any lowered operator had an unknown memory
-	// estimate (triggers dynamic recompilation when the distributed backend
-	// is enabled).
+	// estimate (triggers dynamic recompilation).
 	unknownSizes bool
 	seedSeq      int64
 }
@@ -40,11 +39,11 @@ func (c *Compiler) compileBasicBlock(stmts []lang.Statement, known map[string]ty
 		return nil, err
 	}
 	block := &runtime.BasicBlock{Instructions: bb.instrs, Deps: bb.tracker.Deps(), CleanupTemps: true}
-	// dynamic recompilation against live sizes drives both exec-type
-	// selection (distributed backend) and operator fusion: loop and function
-	// bodies compile with unknown sizes, so without recompilation the fusion
-	// matcher could never prove shapes inside the hottest blocks
-	if (c.cfg.DistEnabled || !c.cfg.FusionDisabled || c.cfg.CompressionEnabled) && bb.unknownSizes {
+	// dynamic recompilation against live sizes drives exec-type selection
+	// (distributed backend), operator fusion and the size-gated rewrites
+	// (left transpose): loop and function bodies compile with unknown sizes,
+	// so without recompilation none of them could fire in the hottest blocks
+	if bb.unknownSizes {
 		stmtsCopy := stmts
 		block.RequiresRecompile = true
 		// loop bodies recompile on every execution; memoize the lowered

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/systemds/systemds-go/internal/lineage"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/runtime"
 )
@@ -271,6 +272,32 @@ func TestReuseAcrossModels(t *testing.T) {
 	res2 := execScript(t, e2, script, map[string]any{"X": x, "y": y, "lambdas": lambdas}, []string{"B"})
 	if !asMatrix(t, res["B"]).Equals(asMatrix(t, res2["B"]), 1e-9) {
 		t.Error("reuse changed the computed models")
+	}
+}
+
+// TestReuseAdmissionIgnoresTiming: every cacheable output is admitted
+// however fast it ran, so a loop recomputing a cheap aggregate hits on every
+// iteration after the first, and identical runs report identical counters.
+func TestReuseAdmissionIgnoresTiming(t *testing.T) {
+	cfg := runtime.DefaultConfig()
+	cfg.ReuseEnabled = true
+	small := map[string]any{"X": matrix.RandUniform(10, 10, 0, 1, 1.0, 3)}
+	_, loop, err := NewEngine(cfg).Execute("for (i in 1:3) {\n  s = sum(X)\n}\n", small, []string{"s"})
+	if err != nil || loop.CacheStats.Hits != 2 {
+		t.Fatalf("err %v, stats %+v, want 2 hits", err, loop.CacheStats)
+	}
+	x, y := matrix.SyntheticRegression(1500, 12, 1.0, 17)
+	script := "Xg = X[, 1]\nfor (i in 2:ncol(X)) {\n  Xg = cbind(Xg, X[, i])\n  B = lmDS(Xg, y, 0.001)\n  r = sum((Xg %*% B - y)^2)\n}\n"
+	var stats [2]lineage.CacheStats
+	for i := range stats {
+		_, st, err := NewEngine(cfg).Execute(script, map[string]any{"X": x, "y": y}, []string{"r"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats[i] = st.CacheStats
+	}
+	if stats[0] != stats[1] || stats[0].PartialHits == 0 {
+		t.Errorf("cache stats of identical runs:\n%+v\n%+v", stats[0], stats[1])
 	}
 }
 

@@ -354,7 +354,8 @@ func Figure5d(scale Scale, dir string) (*Figure, error) {
 
 // AblationSteplmPartialReuse measures full and partial reuse on an
 // incremental feature-selection workload (Example 1 access pattern): models
-// are trained on a growing cbind-prefix of the features.
+// are trained on a growing cbind-prefix of the features. Reuse must not
+// change the answer: the final model B of both modes is compared bitwise.
 func AblationSteplmPartialReuse(rows, cols int) (*Figure, error) {
 	x, y := matrix.SyntheticRegression(rows, cols, 1.0, 5005)
 	script := `
@@ -365,29 +366,33 @@ for (i in 2:m) {
   Xg = cbind(Xg, xi)
   B = lmDS(Xg, y, 0.001)
 }
-total = sum(B)
 `
 	fig := &Figure{Name: "Ablation A1", Title: "Partial reuse on incremental feature selection", XLabel: "mode"}
 	modes := []struct {
 		label string
 		reuse bool
 	}{{"no-reuse", false}, {"reuse", true}}
+	var models []*matrix.MatrixBlock
 	for i, m := range modes {
 		cfg := runtime.DefaultConfig()
 		cfg.ReuseEnabled = m.reuse
 		engine := core.NewEngine(cfg)
 		engine.SetOutput(discard{})
 		start := time.Now()
-		_, stats, err := engine.Execute(script, map[string]any{"X": x, "y": y}, []string{"total"})
+		res, stats, err := engine.Execute(script, map[string]any{"X": x, "y": y}, []string{"B"})
 		if err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start)
+		models = append(models, res["B"].(*matrix.MatrixBlock))
 		fig.Series = append(fig.Series, Series{Label: m.label, Points: []Point{{X: float64(i), Seconds: elapsed.Seconds()}}})
 		if m.reuse {
 			fig.Notes = append(fig.Notes, fmt.Sprintf("reuse stats: hits=%d partial=%d puts=%d",
 				stats.CacheStats.Hits, stats.CacheStats.PartialHits, stats.CacheStats.Puts))
 		}
+	}
+	if !models[0].Equals(models[1], 0) {
+		return nil, fmt.Errorf("partial reuse changed the model: %v vs %v", models[0], models[1])
 	}
 	return fig, nil
 }

@@ -2,8 +2,6 @@ package lineage
 
 import (
 	"container/list"
-	"fmt"
-	"os"
 	"sync"
 )
 
@@ -102,9 +100,6 @@ func (c *Cache) Get(item *Item) (any, bool) {
 			c.lru.MoveToFront(el)
 			c.stats.Hits++
 			c.mu.Unlock()
-			if os.Getenv("SYSDS_DEBUG_CACHE") != "" {
-				fmt.Printf("CACHE HIT: %s\n", item.String())
-			}
 			return entry.Value, true
 		}
 	}
@@ -119,9 +114,6 @@ func (c *Cache) Get(item *Item) (any, bool) {
 			c.stats.Hits++
 			c.stats.StoreHits++
 			c.mu.Unlock()
-			if os.Getenv("SYSDS_DEBUG_CACHE") != "" {
-				fmt.Printf("CACHE STORE HIT: %s\n", item.String())
-			}
 			return v, true
 		}
 	}

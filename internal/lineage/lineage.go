@@ -7,16 +7,12 @@
 package lineage
 
 import (
-	"fmt"
-	"hash/fnv"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// ItemKind distinguishes leaves (literals, input reads) from operation nodes
-// and deduplicated sub-DAG references.
+// ItemKind distinguishes leaves (literals, input reads) from operation nodes.
 type ItemKind int
 
 // Lineage item kinds.
@@ -24,95 +20,139 @@ const (
 	KindLiteral ItemKind = iota
 	KindCreation
 	KindInstruction
-	KindDedup
 )
 
-var itemIDCounter int64
-
-// Item is a node of a lineage DAG. Items are immutable after creation and
-// cache their hash.
+// Item is a node of a lineage DAG. Items are immutable after creation; each
+// carries its structural hash, computed once at construction from its own
+// fields and the stored hashes of its inputs (a Merkle hash), so hashing
+// never walks the DAG.
 type Item struct {
-	ID     int64
 	Kind   ItemKind
 	Opcode string
 	Data   string // literal value, variable/file name, or extra operands (e.g. seeds)
 	Inputs []*Item
 
-	hashOnce sync.Once
-	hash     uint64
+	hash uint64
 }
 
 // NewLiteral creates a literal leaf item (constants, generated seeds).
 func NewLiteral(data string) *Item {
-	return &Item{ID: atomic.AddInt64(&itemIDCounter, 1), Kind: KindLiteral, Opcode: "lit", Data: data}
+	return newItem(KindLiteral, "lit", data, nil)
 }
 
 // NewCreation creates a leaf item for an external input (file read, named
 // script input).
 func NewCreation(op, data string) *Item {
-	return &Item{ID: atomic.AddInt64(&itemIDCounter, 1), Kind: KindCreation, Opcode: op, Data: data}
+	return newItem(KindCreation, op, data, nil)
 }
 
 // NewInstruction creates an operation item with the given inputs.
 func NewInstruction(opcode, data string, inputs ...*Item) *Item {
-	return &Item{ID: atomic.AddInt64(&itemIDCounter, 1), Kind: KindInstruction, Opcode: opcode, Data: data, Inputs: inputs}
+	return newItem(KindInstruction, opcode, data, inputs)
 }
 
-// NewDedup creates a deduplication item that references a previously traced
-// loop-body sub-DAG by name and path id, so loops with few distinct control
-// flow paths store the per-path trace only once.
-func NewDedup(pathName string, inputs ...*Item) *Item {
-	return &Item{ID: atomic.AddInt64(&itemIDCounter, 1), Kind: KindDedup, Opcode: "dedup", Data: pathName, Inputs: inputs}
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// newItem builds an item and its hash: FNV-1a over the kind, the
+// length-prefixed opcode and data, the input count and the input hashes.
+// Length prefixes keep distinct field splits ("ab"+"c" vs "a"+"bc") apart,
+// and nothing pointer- or map-order-dependent enters the hash, so persisted
+// stores can compare hashes across processes.
+func newItem(kind ItemKind, opcode, data string, inputs []*Item) *Item {
+	h := hashUint(fnvOffset64, uint64(kind))
+	h = hashString(h, opcode)
+	h = hashString(h, data)
+	h = hashUint(h, uint64(len(inputs)))
+	for _, in := range inputs {
+		h = hashUint(h, in.hash)
+	}
+	return &Item{Kind: kind, Opcode: opcode, Data: data, Inputs: inputs, hash: h}
 }
 
-// Hash returns a structural hash over the item's opcode, data and transitive
-// inputs. Identical computations produce identical hashes, which makes the
-// hash usable as reuse-cache key.
-func (it *Item) Hash() uint64 {
-	it.hashOnce.Do(func() {
-		h := fnv.New64a()
-		var write func(i *Item)
-		write = func(i *Item) {
-			fmt.Fprintf(h, "(%d|%s|%s", i.Kind, i.Opcode, i.Data)
-			for _, in := range i.Inputs {
-				write(in)
-			}
-			fmt.Fprint(h, ")")
-		}
-		write(it)
-		it.hash = h.Sum64()
-	})
-	return it.hash
+func hashUint(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
+	}
+	return h
 }
 
-// Equals reports whether two lineage DAGs are structurally identical.
+func hashString(h uint64, s string) uint64 {
+	h = hashUint(h, uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// Hash returns the structural hash over the item's opcode, data and
+// transitive inputs. Identical computations produce identical hashes, which
+// makes the hash usable as reuse-cache key.
+func (it *Item) Hash() uint64 { return it.hash }
+
+type itemPair struct{ a, b *Item }
+
+// Equals reports whether two lineage DAGs are structurally identical. It is
+// the exact guard against hash collisions: it stops at the first pair of
+// nodes whose hashes differ and compares each pair of shared sub-DAGs only
+// once, so it is linear in the DAG size.
 func (it *Item) Equals(o *Item) bool {
-	if it == o {
+	return equalItems(it, o, map[itemPair]bool{})
+}
+
+func equalItems(a, b *Item, equal map[itemPair]bool) bool {
+	if a == b || equal[itemPair{a, b}] {
 		return true
 	}
-	if it == nil || o == nil {
+	if a == nil || b == nil || a.hash != b.hash || a.Kind != b.Kind ||
+		a.Opcode != b.Opcode || a.Data != b.Data || len(a.Inputs) != len(b.Inputs) {
 		return false
 	}
-	if it.Kind != o.Kind || it.Opcode != o.Opcode || it.Data != o.Data || len(it.Inputs) != len(o.Inputs) {
-		return false
-	}
-	for i := range it.Inputs {
-		if !it.Inputs[i].Equals(o.Inputs[i]) {
+	for i := range a.Inputs {
+		if !equalItems(a.Inputs[i], b.Inputs[i], equal) {
 			return false
 		}
 	}
+	equal[itemPair{a, b}] = true
 	return true
 }
 
 // String renders the lineage DAG in a compact nested form, e.g.
-// "tsmm(cbind(tread(X),tread(Z)))".
+// "tsmm(cbind(tread·X,tread·Z))". A node reached more than once is rendered
+// at its first occurrence followed by a label and referenced by that label
+// afterwards, e.g. "+(tread·X#1,#1)", so the rendering is linear in the DAG
+// size. It is the verification key of the persistent lineage store.
 func (it *Item) String() string {
+	refs := map[*Item]int{}
+	var count func(i *Item)
+	count = func(i *Item) {
+		refs[i]++
+		if refs[i] > 1 {
+			return
+		}
+		for _, in := range i.Inputs {
+			count(in)
+		}
+	}
+	count(it)
 	var sb strings.Builder
-	it.render(&sb)
+	labels := map[*Item]int{}
+	it.render(&sb, refs, labels)
 	return sb.String()
 }
 
-func (it *Item) render(sb *strings.Builder) {
+func (it *Item) render(sb *strings.Builder, refs, labels map[*Item]int) {
+	if l, ok := labels[it]; ok {
+		sb.WriteString("#")
+		sb.WriteString(strconv.Itoa(l))
+		return
+	}
 	sb.WriteString(it.Opcode)
 	if it.Data != "" {
 		sb.WriteString("·")
@@ -124,28 +164,15 @@ func (it *Item) render(sb *strings.Builder) {
 			if i > 0 {
 				sb.WriteString(",")
 			}
-			in.render(sb)
+			in.render(sb, refs, labels)
 		}
 		sb.WriteString(")")
 	}
-}
-
-// Size returns the number of nodes in the lineage DAG (distinct nodes counted
-// once).
-func (it *Item) Size() int {
-	seen := map[*Item]bool{}
-	var count func(i *Item)
-	count = func(i *Item) {
-		if seen[i] {
-			return
-		}
-		seen[i] = true
-		for _, in := range i.Inputs {
-			count(in)
-		}
+	if refs[it] > 1 {
+		labels[it] = len(labels) + 1
+		sb.WriteString("#")
+		sb.WriteString(strconv.Itoa(labels[it]))
 	}
-	count(it)
-	return len(seen)
 }
 
 // Tracer maintains the lineage items of the live variables of one execution
@@ -154,13 +181,11 @@ func (it *Item) Size() int {
 type Tracer struct {
 	mu    sync.Mutex
 	items map[string]*Item
-	// dedup path traces per loop body (keyed by block id and path signature)
-	dedupPaths map[string]*Item
 }
 
 // NewTracer creates an empty tracer.
 func NewTracer() *Tracer {
-	return &Tracer{items: map[string]*Item{}, dedupPaths: map[string]*Item{}}
+	return &Tracer{items: map[string]*Item{}}
 }
 
 // Get returns the lineage item of a variable, creating a leaf item lazily for
@@ -184,14 +209,6 @@ func (t *Tracer) Set(name string, it *Item) {
 	t.items[name] = it
 }
 
-// Has reports whether a variable has a traced lineage item.
-func (t *Tracer) Has(name string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	_, ok := t.items[name]
-	return ok
-}
-
 // Copy returns a tracer with a copied variable map (items are shared, they
 // are immutable).
 func (t *Tracer) Copy() *Tracer {
@@ -202,35 +219,4 @@ func (t *Tracer) Copy() *Tracer {
 		cp.items[k] = v
 	}
 	return cp
-}
-
-// Variables returns the sorted names of traced variables.
-func (t *Tracer) Variables() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	names := make([]string, 0, len(t.items))
-	for k := range t.items {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// RegisterDedupPath stores the lineage trace of one loop-body control-flow
-// path so subsequent iterations taking the same path reference it with a
-// single dedup node instead of re-tracing every operation.
-func (t *Tracer) RegisterDedupPath(key string, trace *Item) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.dedupPaths[key]; !ok {
-		t.dedupPaths[key] = trace
-	}
-}
-
-// DedupPath returns the registered trace for a loop-body path, if any.
-func (t *Tracer) DedupPath(key string) (*Item, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	it, ok := t.dedupPaths[key]
-	return it, ok
 }

@@ -33,6 +33,55 @@ func TestItemHashDeterminismAndEquality(t *testing.T) {
 	if e1.Equals(e2) || e1.Hash() == e2.Hash() {
 		t.Error("different literals must produce different lineage")
 	}
+	// fields are length-prefixed: moving bytes between opcode and data must
+	// change the hash
+	if NewInstruction("ab", "c").Hash() == NewInstruction("a", "bc").Hash() {
+		t.Error("different opcode/data splits must hash differently")
+	}
+	if NewCreation("tread", "X").Hash() == NewLiteral("X").Hash() {
+		t.Error("item kind must enter the hash")
+	}
+}
+
+// doubling builds x = +(x, x) applied n times over one leaf: a DAG of n+1
+// nodes whose tree unfolding has 2^(n+1)-1 nodes.
+func doubling(n int) *Item {
+	x := NewCreation("tread", "X")
+	for i := 0; i < n; i++ {
+		x = NewInstruction("+", "", x, x)
+	}
+	return x
+}
+
+func TestSharedDAGIsLinear(t *testing.T) {
+	a, b := doubling(64), doubling(64)
+	if a.Hash() != b.Hash() {
+		t.Fatal("independently built identical DAGs must hash equally")
+	}
+	if !a.Equals(b) {
+		t.Fatal("independently built identical DAGs must be equal")
+	}
+	if a.Equals(doubling(63)) || a.Hash() == doubling(63).Hash() {
+		t.Error("DAGs of different depth must differ")
+	}
+	c := NewCache(1 << 20)
+	c.Put(a, "v", 8, 1)
+	if v, ok := c.Get(b); !ok || v != "v" {
+		t.Errorf("identical DAG missed the cache: %v, %v", v, ok)
+	}
+	s := a.String()
+	if len(s) > 64*32 {
+		t.Errorf("String of a 65-node DAG has %d bytes, want linear size", len(s))
+	}
+	if s != b.String() {
+		t.Error("identical DAGs must render identically")
+	}
+	if got := doubling(1).String(); got != "+(tread·X#1,#1)" {
+		t.Errorf("shared rendering = %q", got)
+	}
+	if got := doubling(2).String(); got != "+(+(tread·X#1,#1)#2,#2)" {
+		t.Errorf("nested shared rendering = %q", got)
+	}
 }
 
 func TestItemStringRendering(t *testing.T) {
@@ -44,22 +93,10 @@ func TestItemStringRendering(t *testing.T) {
 	}
 }
 
-func TestItemSize(t *testing.T) {
-	x := NewCreation("tread", "X")
-	shared := NewInstruction("t", "", x)
-	top := NewInstruction("ba+*", "", shared, shared)
-	if top.Size() != 3 {
-		t.Errorf("Size = %d, want 3 (shared node counted once)", top.Size())
-	}
-}
-
 func TestTracer(t *testing.T) {
 	tr := NewTracer()
-	if tr.Has("X") {
-		t.Error("fresh tracer should not have X")
-	}
 	leaf := tr.Get("X") // lazily created creation item
-	if !tr.Has("X") || leaf.Opcode != "tread" {
+	if leaf.Opcode != "tread" || leaf.Data != "X" || tr.Get("X") != leaf {
 		t.Errorf("lazy leaf = %+v", leaf)
 	}
 	it := NewInstruction("tsmm", "", leaf)
@@ -72,33 +109,8 @@ func TestTracer(t *testing.T) {
 	if tr.Get("G") != it {
 		t.Error("copy is not independent")
 	}
-	vars := tr.Variables()
-	if len(vars) != 2 || vars[0] != "G" || vars[1] != "X" {
-		t.Errorf("variables = %v", vars)
-	}
-}
-
-func TestTracerDedupPaths(t *testing.T) {
-	tr := NewTracer()
-	trace := NewInstruction("body", "", NewLiteral("1"))
-	tr.RegisterDedupPath("loop1:path0", trace)
-	got, ok := tr.DedupPath("loop1:path0")
-	if !ok || got != trace {
-		t.Error("dedup path not registered")
-	}
-	// duplicate registration keeps the first trace
-	other := NewInstruction("body", "", NewLiteral("2"))
-	tr.RegisterDedupPath("loop1:path0", other)
-	got, _ = tr.DedupPath("loop1:path0")
-	if got != trace {
-		t.Error("duplicate registration overwrote the original trace")
-	}
-	if _, ok := tr.DedupPath("unknown"); ok {
-		t.Error("unknown path should not resolve")
-	}
-	d := NewDedup("loop1:path0", NewLiteral("3"))
-	if d.Kind != KindDedup || d.Opcode != "dedup" {
-		t.Error("dedup item malformed")
+	if cp.Get("X") != leaf {
+		t.Error("copy lost an item")
 	}
 }
 
@@ -158,10 +170,10 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// forceHash pins an item's memoized hash, simulating hash collisions between
+// forceHash overwrites an item's hash, simulating hash collisions between
 // structurally different lineage DAGs.
 func forceHash(it *Item, h uint64) *Item {
-	it.hashOnce.Do(func() { it.hash = h })
+	it.hash = h
 	return it
 }
 

@@ -290,36 +290,21 @@ func TSMM(x *MatrixBlock, threads int) *MatrixBlock {
 	return out
 }
 
-func tsmmDense(x, out *MatrixBlock, threads int) {
-	m, n := x.rows, x.cols
-	xv := x.dense
-	// Each worker accumulates a private upper-triangular result over a chunk
-	// of rows (through the tiled engine for chunks above the crossover, the
-	// simple triangular loop below it — identical per-cell ascending-row
-	// accumulation order either way); partial results are summed in chunk
-	// order at the end.
-	numChunks := threads
-	if numChunks > m {
-		numChunks = max(1, m)
-	}
+// tsmmChunked is TSMM's row-parallel loop: each of tsmmChunks' row chunks
+// accumulates into a private zeroed n x n buffer on its own goroutine, and
+// the buffers are summed into out in chunk order.
+func tsmmChunked(out *MatrixBlock, m, threads int, chunkFn func(buf []float64, r0, r1 int)) {
+	n := out.cols
+	numChunks, chunk := tsmmChunks(m, threads)
 	partials := make([]*gemmBuf, numChunks)
-	chunk := (m + numChunks - 1) / numChunks
 	var wg sync.WaitGroup
-	for t := 0; t < numChunks; t++ {
-		r0 := t * chunk
-		if r0 >= m {
-			break
-		}
-		r1 := min(r0+chunk, m)
+	for t := 0; t*chunk < m; t++ {
+		r0, r1 := t*chunk, min((t+1)*chunk, m)
 		wg.Add(1)
 		go func(t, r0, r1 int) {
 			defer wg.Done()
 			buf := gemmZeroBuf(n * n)
-			if tsmmUseTiled(r1-r0, n) {
-				tsmmTiledChunk(buf.f, xv, n, r0, r1)
-			} else {
-				tsmmSimpleChunk(buf.f, xv, n, r0, r1)
-			}
+			chunkFn(buf.f, r0, r1)
 			partials[t] = buf
 		}(t, r0, r1)
 	}
@@ -334,6 +319,62 @@ func tsmmDense(x, out *MatrixBlock, threads int) {
 		}
 		gemmPutBuf(p)
 	}
+}
+
+// tsmmChunks is TSMM's row partitioning: the number of row chunks and the
+// rows per chunk.
+func tsmmChunks(m, threads int) (numChunks, chunk int) {
+	numChunks = min(threads, max(1, m))
+	return numChunks, (m + numChunks - 1) / numChunks
+}
+
+// TSMMRows returns rows k1.. of TSMM(x, threads), i.e. t(x[,k1:]) %*% x,
+// without computing the rest of the Gram matrix. It sums per-chunk products
+// over TSMM's row chunks in TSMM's order, so the result is bitwise equal to
+// those rows of the full TSMM; partial lineage reuse assembles
+// tsmm(cbind(A, B)) from a cached tsmm(A) with it.
+func TSMMRows(x *MatrixBlock, k1, threads int) (*MatrixBlock, error) {
+	m, n := x.rows, x.cols
+	if k1 < 0 || k1 > n {
+		return nil, fmt.Errorf("matrix: TSMMRows start column %d outside [0, %d]", k1, n)
+	}
+	threads = resolveThreads(threads)
+	out := NewDense(n-k1, n)
+	_, chunk := tsmmChunks(m, threads)
+	for r0 := 0; r0 < m; r0 += chunk {
+		r1 := min(r0+chunk, m)
+		xc, err := Slice(x, r0, r1, 0, n)
+		if err != nil {
+			return nil, err
+		}
+		bc, err := Slice(xc, 0, r1-r0, k1, n)
+		if err != nil {
+			return nil, err
+		}
+		p, err := Multiply(Transpose(bc), xc, threads)
+		if err != nil {
+			return nil, err
+		}
+		for i, v := range p.DenseValues() {
+			out.dense[i] += v
+		}
+	}
+	out.RecomputeNNZ()
+	return out, nil
+}
+
+// tsmmDense accumulates each row chunk through the tiled engine above the
+// crossover and the simple triangular loop below it — identical per-cell
+// ascending-row accumulation order either way.
+func tsmmDense(x, out *MatrixBlock, threads int) {
+	n, xv := x.cols, x.dense
+	tsmmChunked(out, x.rows, threads, func(buf []float64, r0, r1 int) {
+		if tsmmUseTiled(r1-r0, n) {
+			tsmmTiledChunk(buf, xv, n, r0, r1)
+		} else {
+			tsmmSimpleChunk(buf, xv, n, r0, r1)
+		}
+	})
 }
 
 // tsmmSimpleChunk accumulates the upper triangle of t(Xc) %*% Xc for the row
@@ -357,46 +398,17 @@ func tsmmSimpleChunk(buf, xv []float64, n, r0, r1 int) {
 }
 
 func tsmmSparse(x, out *MatrixBlock, threads int) {
-	m, n := x.rows, x.cols
-	s := x.csr()
-	numChunks := threads
-	if numChunks > m {
-		numChunks = max(1, m)
-	}
-	partials := make([][]float64, numChunks)
-	chunk := (m + numChunks - 1) / numChunks
-	var wg sync.WaitGroup
-	for t := 0; t < numChunks; t++ {
-		r0 := t * chunk
-		if r0 >= m {
-			break
-		}
-		r1 := min(r0+chunk, m)
-		wg.Add(1)
-		go func(t, r0, r1 int) {
-			defer wg.Done()
-			buf := make([]float64, n*n)
-			for r := r0; r < r1; r++ {
-				lo, hi := s.RowPtr[r], s.RowPtr[r+1]
-				for p := lo; p < hi; p++ {
-					ci, vi := s.ColIdx[p], s.Values[p]
-					bi := buf[ci*n:]
-					for q := p; q < hi; q++ {
-						bi[s.ColIdx[q]] += float64(vi * s.Values[q])
-					}
+	n, s := x.cols, x.csr()
+	tsmmChunked(out, x.rows, threads, func(buf []float64, r0, r1 int) {
+		for r := r0; r < r1; r++ {
+			lo, hi := s.RowPtr[r], s.RowPtr[r+1]
+			for p := lo; p < hi; p++ {
+				ci, vi := s.ColIdx[p], s.Values[p]
+				bi := buf[ci*n:]
+				for q := p; q < hi; q++ {
+					bi[s.ColIdx[q]] += float64(vi * s.Values[q])
 				}
 			}
-			partials[t] = buf
-		}(t, r0, r1)
-	}
-	wg.Wait()
-	cv := out.dense
-	for _, p := range partials {
-		if p == nil {
-			continue
 		}
-		for i := range cv {
-			cv[i] += p[i]
-		}
-	}
+	})
 }

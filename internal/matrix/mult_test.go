@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -121,6 +122,27 @@ func TestTSMMSparse(t *testing.T) {
 	}
 	if !got.Equals(want, 1e-9) {
 		t.Error("sparse TSMM disagrees with dense reference")
+	}
+}
+
+// TestTSMMRowsBitwise pins TSMMRows to the rows of the full TSMM it stands
+// in for under partial reuse: bitwise, dense and sparse, for every thread
+// count (TSMM's row chunking depends on it).
+func TestTSMMRowsBitwise(t *testing.T) {
+	for _, x := range []*MatrixBlock{RandUniform(301, 12, -1, 1, 1.0, 7), RandUniform(301, 12, 0, 1, 0.15, 8)} {
+		for threads := 1; threads <= 4; threads++ {
+			for _, k1 := range []int{0, 5, 12} {
+				got, err := TSMMRows(x, k1, threads)
+				want, err2 := Slice(TSMM(x, threads), k1, 12, 0, 12)
+				if err != nil || err2 != nil {
+					t.Fatal(err, err2)
+				}
+				bitwiseEqual(t, want, got, fmt.Sprintf("TSMMRows(sparse=%v, k1=%d, threads=%d)", x.IsSparse(), k1, threads))
+			}
+		}
+	}
+	if _, err := TSMMRows(RandUniform(3, 2, 0, 1, 1.0, 9), 3, 1); err == nil {
+		t.Error("start column past the last column must fail")
 	}
 }
 

@@ -354,26 +354,6 @@ func (ctx *Context) Variables() []string {
 	return names
 }
 
-// VariableByValue returns the name of a variable bound to exactly this data
-// object (used by partial-reuse compensation plans), or "" if none. When
-// several variables alias the same object, the lexicographically smallest
-// name wins, keeping compensation plans stable across runs.
-func (ctx *Context) VariableByValue(d Data) string {
-	ctx.mu.RLock()
-	defer ctx.mu.RUnlock()
-	names := make([]string, 0, len(ctx.vars))
-	for k := range ctx.vars {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		if ctx.vars[k] == d {
-			return k
-		}
-	}
-	return ""
-}
-
 // GetScalar returns a variable as a scalar.
 func (ctx *Context) GetScalar(name string) (*Scalar, error) {
 	d, err := ctx.Get(name)

@@ -183,17 +183,18 @@ func executeInstruction(ctx *Context, inst Instruction) error {
 	for i, in := range inputs {
 		items[i] = ctx.Lineage.Get(in)
 	}
+	// plain variable copies are lineage-transparent: the output IS the input
+	// value, so downstream consumers and the reuse cache see the producing
+	// operation directly, and the copy itself has nothing to reuse
+	transparent := inst.Opcode() == "assignvar" && len(items) == 1 && inst.LineageData() == ""
 	var outItem *lineage.Item
-	if inst.Opcode() == "assignvar" && len(items) == 1 && inst.LineageData() == "" {
-		// plain variable copies are lineage-transparent: the output IS the
-		// input value, so downstream consumers and the reuse cache see the
-		// producing operation directly
+	if transparent {
 		outItem = items[0]
 	} else {
 		outItem = lineage.NewInstruction(inst.Opcode(), inst.LineageData(), items...)
 	}
 	outs := inst.Outputs()
-	cacheable := ctx.Config.ReuseEnabled && ctx.Cache.Enabled() &&
+	cacheable := !transparent && ctx.Config.ReuseEnabled && ctx.Cache.Enabled() &&
 		len(outs) == 1 && !nonCacheableOpcodes[inst.Opcode()]
 	if cacheable {
 		if v, ok := ctx.Cache.Get(outItem); ok {
@@ -230,11 +231,11 @@ func executeInstruction(ctx *Context, inst Instruction) error {
 			}
 		}
 	}
+	// every cacheable output is admitted, so hits repeat exactly across runs;
+	// the measured time only prices the entry for cost-benefit eviction
 	if cacheable {
 		if d, err := ctx.Get(outs[0]); err == nil {
-			if _, isMat := d.(*MatrixObject); isMat || elapsed > 100*time.Microsecond {
-				ctx.Cache.Put(outItem, d, SizeOf(d), elapsed.Nanoseconds())
-			}
+			ctx.Cache.Put(outItem, d, SizeOf(d), elapsed.Nanoseconds())
 		}
 	}
 	return nil

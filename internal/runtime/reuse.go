@@ -10,8 +10,8 @@ import (
 // Two patterns cover the stepwise-linear-regression workload of Example 1,
 // where each iteration trains on cbind(Xg, x_new):
 //
-//	tsmm(cbind(A, B))     = [[tsmm(A), t(A)%*%B], [t(B)%*%A, tsmm(B)]]
-//	t(cbind(A, B)) %*% y  = rbind(t(A)%*%y, t(B)%*%y)
+//	tsmm(cbind(A, B))   = [[tsmm(A), t(A)%*%B], [t(B)%*%A, tsmm(B)]]
+//	U %*% cbind(A, B)   = cbind(U%*%A, U%*%B)
 //
 // When the result for the A-part is cached, only the (much cheaper) parts
 // involving the newly added columns are computed.
@@ -57,16 +57,11 @@ func tryPartialTSMM(ctx *Context, inst Instruction, inputItems []*lineage.Item) 
 	if x.Cols() <= k1 {
 		return nil, false
 	}
-	// Only the newly added columns B are materialized; the cross term
-	// t(A) %*% B and the new block t(B) %*% B are both read off
-	// t(B) %*% X = [t(B)%*%A, t(B)%*%B], avoiding any copy of the (large)
-	// prefix A.
-	b, err := matrix.Slice(x, 0, x.Rows(), k1, x.Cols())
-	if err != nil {
-		return nil, false
-	}
-	threads := ctx.Config.Threads()
-	tbx, err := matrix.Multiply(matrix.Transpose(b), x, threads)
+	// Only the Gram rows of the new columns B are computed: t(B) %*% X =
+	// [t(B)%*%A, t(B)%*%B] is the bottom block row, the top one is
+	// [tsmm(A), t(t(B)%*%A)]. TSMMRows accumulates in the full TSMM's
+	// order, so the assembled result is bitwise equal to it.
+	tbx, err := matrix.TSMMRows(x, k1, ctx.Config.Threads())
 	if err != nil {
 		return nil, false
 	}
@@ -74,49 +69,29 @@ func tryPartialTSMM(ctx *Context, inst Instruction, inputItems []*lineage.Item) 
 	if err != nil {
 		return nil, false
 	}
-	btb, err := matrix.Slice(tbx, 0, tbx.Rows(), k1, x.Cols())
+	top, err := matrix.CBind(gramA, matrix.Transpose(bta))
 	if err != nil {
 		return nil, false
 	}
-	// assemble [[gramA, t(bta)], [bta, btb]]
-	n := x.Cols()
-	out := matrix.NewDense(n, n)
-	out, err = matrix.LeftIndex(out, gramA, 0, k1, 0, k1)
-	if err != nil {
-		return nil, false
-	}
-	out, err = matrix.LeftIndex(out, matrix.Transpose(bta), 0, k1, k1, n)
-	if err != nil {
-		return nil, false
-	}
-	out, err = matrix.LeftIndex(out, bta, k1, n, 0, k1)
-	if err != nil {
-		return nil, false
-	}
-	out, err = matrix.LeftIndex(out, btb, k1, n, k1, n)
+	out, err := matrix.RBind(top, tbx)
 	if err != nil {
 		return nil, false
 	}
 	return NewMatrixObject(out, ctx.Pool), true
 }
 
-// tryPartialMatMultOverCBind handles t(cbind(A, B)) %*% y when
-// t(A) %*% y is cached: the missing rows are t(B) %*% y.
+// tryPartialMatMultOverCBind handles U %*% cbind(A, B) when U %*% A is
+// cached: the missing columns are U %*% B. The left-transpose rewrite turns
+// t(cbind(A, B)) %*% y into t(t(y) %*% cbind(A, B)), which lands here.
 func tryPartialMatMultOverCBind(ctx *Context, inst Instruction, inputItems []*lineage.Item) (Data, bool) {
 	if len(inputItems) != 2 {
 		return nil, false
 	}
-	left, yItem := inputItems[0], inputItems[1]
-	if left.Opcode != "r'" || len(left.Inputs) != 1 {
-		return nil, false
-	}
-	cbindItem := left.Inputs[0]
+	uItem, cbindItem := inputItems[0], inputItems[1]
 	if cbindItem.Opcode != "cbind" || len(cbindItem.Inputs) != 2 {
 		return nil, false
 	}
-	cachedItem := lineage.NewInstruction("ba+*", "",
-		lineage.NewInstruction("r'", "", cbindItem.Inputs[0]), yItem)
-	cachedAny, ok := ctx.Cache.Get(cachedItem)
+	cachedAny, ok := ctx.Cache.Get(lineage.NewInstruction("ba+*", "", uItem, cbindItem.Inputs[0]))
 	if !ok {
 		return nil, false
 	}
@@ -124,37 +99,37 @@ func tryPartialMatMultOverCBind(ctx *Context, inst Instruction, inputItems []*li
 	if !ok {
 		return nil, false
 	}
-	aty, err := cachedMO.Acquire()
+	ua, err := cachedMO.Acquire()
 	if err != nil {
 		return nil, false
 	}
-	// inputs: t(cbind(A,B)) and y are instruction input variables
+	// inputs: U and X = cbind(A, B) are instruction input variables
 	ins := inst.Inputs()
 	if len(ins) != 2 {
 		return nil, false
 	}
-	tx, err := ctx.GetMatrixBlockFor(ins[0], "reuse")
+	u, err := ctx.GetMatrixBlockFor(ins[0], "reuse")
 	if err != nil {
 		return nil, false
 	}
-	y, err := ctx.GetMatrixBlockFor(ins[1], "reuse")
+	x, err := ctx.GetMatrixBlockFor(ins[1], "reuse")
 	if err != nil {
 		return nil, false
 	}
-	k1 := aty.Rows()
-	if tx.Rows() <= k1 {
+	k1 := ua.Cols()
+	if x.Cols() <= k1 {
 		return nil, false
 	}
-	// rows k1..end of t(X) are t(B)
-	tb, err := matrix.Slice(tx, k1, tx.Rows(), 0, tx.Cols())
+	// columns k1..end of X are B
+	b, err := matrix.Slice(x, 0, x.Rows(), k1, x.Cols())
 	if err != nil {
 		return nil, false
 	}
-	bty, err := matrix.Multiply(tb, y, ctx.Config.Threads())
+	ub, err := matrix.Multiply(u, b, ctx.Config.Threads())
 	if err != nil {
 		return nil, false
 	}
-	out, err := matrix.RBind(aty, bty)
+	out, err := matrix.CBind(ua, ub)
 	if err != nil {
 		return nil, false
 	}
