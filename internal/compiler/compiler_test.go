@@ -425,7 +425,7 @@ s = sum(A) + sum(B) + sum(E)
 		if err := prog.Execute(ctx); err != nil {
 			t.Fatal(err)
 		}
-		e, err := ctx.GetMatrixBlock("E")
+		e, err := ctx.GetMatrixBlockFor("E", "test")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"github.com/systemds/systemds-go/internal/matrix"
@@ -124,7 +125,14 @@ func (c *CompressedMatrix) Write(w io.Writer) error {
 	return bw.w.Flush()
 }
 
-// Read deserializes a compressed matrix written by Write.
+// maxDictLen bounds a dictionary's entry count: codes are at most 16 bits.
+const maxDictLen = 1 << 16
+
+// Read deserializes a compressed matrix written by Write. Spill files are
+// input from outside the process, so every length and count is checked
+// against the header dimensions before it is used, and slices grow with the
+// bytes actually read: a corrupt file is an error, never a panic or an
+// allocation the input does not back.
 func Read(r io.Reader) (*CompressedMatrix, error) {
 	br := &binReader{r: bufio.NewReader(r)}
 	var magic uint32
@@ -132,121 +140,149 @@ func Read(r io.Reader) (*CompressedMatrix, error) {
 	if br.err == nil && magic != serializeMagic {
 		return nil, fmt.Errorf("compress: bad magic %#x in compressed spill file", magic)
 	}
-	var rows64, cols64 int64
-	var ngroups int32
-	br.read(&rows64)
-	br.read(&cols64)
-	br.read(&ngroups)
-	if br.err != nil {
-		return nil, br.err
-	}
-	out := &CompressedMatrix{NumRows: int(rows64), NumCols: int(cols64)}
-	for gi := int32(0); gi < ngroups; gi++ {
+	rows := readLen[int64](br, "row count", 0, math.MaxInt32)
+	cols := readLen[int64](br, "column count", 0, math.MaxInt32)
+	// every group covers at least one column
+	ngroups := readLen[int32](br, "group count", 0, cols)
+	out := &CompressedMatrix{NumRows: rows, NumCols: cols}
+	for gi := 0; gi < ngroups && br.err == nil; gi++ {
 		var tag uint8
 		br.read(&tag)
 		switch Encoding(tag) {
 		case EncDDC:
-			var col, dictLen int32
-			br.read(&col)
-			br.read(&dictLen)
-			g := &DDCGroup{Col: int(col), Dict: make([]float64, dictLen), Counts: make([]int32, dictLen)}
-			br.read(g.Dict)
-			br.read(g.Counts)
-			var width uint8
-			var n int64
-			br.read(&width)
-			br.read(&n)
-			if width == 1 {
-				g.Codes8 = make([]uint8, n)
-				br.read(g.Codes8)
-			} else {
-				g.Codes16 = make([]uint16, n)
-				br.read(g.Codes16)
-			}
+			g := &DDCGroup{Col: readLen[int32](br, "column", 0, cols-1)}
+			n := readLen[int32](br, "dictionary size", 0, maxDictLen)
+			g.Dict = readSlice[float64](br, n)
+			g.Counts = readSlice[int32](br, n)
+			g.Codes8, g.Codes16 = readCodes(br, rows, n)
 			out.Groups = append(out.Groups, g)
 		case EncRLE:
-			var col, nruns int32
-			br.read(&col)
-			br.read(&nruns)
-			g := &RLEGroup{Col: int(col), Values: make([]float64, nruns), Starts: make([]int32, nruns), Lens: make([]int32, nruns)}
-			br.read(g.Values)
-			br.read(g.Starts)
-			br.read(g.Lens)
+			g := &RLEGroup{Col: readLen[int32](br, "column", 0, cols-1)}
+			n := readLen[int32](br, "run count", 0, rows)
+			g.Values = readSlice[float64](br, n)
+			g.Starts = readSlice[int32](br, n)
+			g.Lens = readSlice[int32](br, n)
+			// runs tile the rows: each starts where the previous ended
+			end := int64(0)
+			for i := 0; i < len(g.Starts) && br.err == nil; i++ {
+				if int64(g.Starts[i]) != end || g.Lens[i] < 1 {
+					br.err = fmt.Errorf("compress: corrupt spill: run %d starts at row %d with length %d, want row %d", i, g.Starts[i], g.Lens[i], end)
+				}
+				end += int64(g.Lens[i])
+			}
+			if br.err == nil && end != int64(rows) {
+				br.err = fmt.Errorf("compress: corrupt spill: runs cover %d of %d rows", end, rows)
+			}
 			out.Groups = append(out.Groups, g)
 		case EncCoCoded:
-			var ncols, nvals int32
-			br.read(&ncols)
-			cols := make([]int, ncols)
-			for i := range cols {
-				var ci int32
-				br.read(&ci)
-				cols[i] = int(ci)
-			}
-			br.read(&nvals)
-			g := &CoCodedGroup{Cols: cols,
-				Dict:   make([]float64, int(nvals)*int(ncols)),
-				Counts: make([]int32, nvals)}
-			br.read(g.Dict)
-			br.read(g.Counts)
-			var width uint8
-			var n int64
-			br.read(&width)
-			br.read(&n)
-			if width == 1 {
-				g.Codes8 = make([]uint8, n)
-				br.read(g.Codes8)
-			} else {
-				g.Codes16 = make([]uint16, n)
-				br.read(g.Codes16)
-			}
+			g := &CoCodedGroup{Cols: readColumns(br, cols)}
+			n := readLen[int32](br, "dictionary size", 0, maxDictLen)
+			g.Dict = readSlice[float64](br, n*len(g.Cols))
+			g.Counts = readSlice[int32](br, n)
+			g.Codes8, g.Codes16 = readCodes(br, rows, n)
 			out.Groups = append(out.Groups, g)
 		case EncSDC:
-			var col, dictLen int32
-			var nrows, npos int64
-			br.read(&col)
-			br.read(&nrows)
-			g := &SDCGroup{Col: int(col), N: int(nrows)}
+			g := &SDCGroup{Col: readLen[int32](br, "column", 0, cols-1), N: readLen[int64](br, "group rows", rows, rows)}
 			br.read(&g.Default)
-			br.read(&dictLen)
-			g.Dict = make([]float64, dictLen)
-			g.Counts = make([]int32, dictLen)
-			br.read(g.Dict)
-			br.read(g.Counts)
-			br.read(&npos)
-			g.Pos = make([]int32, npos)
-			g.Codes = make([]uint16, npos)
-			br.read(g.Pos)
-			br.read(g.Codes)
+			n := readLen[int32](br, "dictionary size", 0, maxDictLen)
+			g.Dict = readSlice[float64](br, n)
+			g.Counts = readSlice[int32](br, n)
+			npos := readLen[int64](br, "exception count", 0, rows)
+			g.Pos = readSlice[int32](br, npos)
+			g.Codes = readSlice[uint16](br, npos)
+			checkCodes(br, g.Codes, n)
+			for i := 0; i < len(g.Pos) && br.err == nil; i++ {
+				if g.Pos[i] < 0 || int(g.Pos[i]) >= rows || (i > 0 && g.Pos[i] <= g.Pos[i-1]) {
+					br.err = fmt.Errorf("compress: corrupt spill: exception position %d out of order or outside %d rows", g.Pos[i], rows)
+				}
+			}
 			out.Groups = append(out.Groups, g)
 		case EncUncompressed:
-			var ncols int32
-			br.read(&ncols)
-			idx := make([]int, ncols)
-			for i := range idx {
-				var ci int32
-				br.read(&ci)
-				idx[i] = int(ci)
-			}
-			var grows, gcols int64
-			br.read(&grows)
-			br.read(&gcols)
-			vals := make([]float64, grows*gcols)
-			br.read(vals)
+			idx := readColumns(br, cols)
+			readLen[int64](br, "group rows", rows, rows)
+			readLen[int64](br, "group columns", len(idx), len(idx))
+			vals := readSlice[float64](br, rows*len(idx))
 			if br.err != nil {
 				return nil, br.err
 			}
-			blk := matrix.NewDenseFromSlice(int(grows), int(gcols), vals)
+			blk := matrix.NewDenseFromSlice(rows, len(idx), vals)
 			out.Groups = append(out.Groups, &UncompressedGroup{ColIdx: idx, Data: blk.ExamineAndApplySparsity()})
 		default:
 			if br.err == nil {
 				return nil, fmt.Errorf("compress: unknown column-group tag %d", tag)
 			}
 		}
-		if br.err != nil {
-			return nil, br.err
-		}
+	}
+	if br.err != nil {
+		return nil, br.err
 	}
 	return out, nil
+}
+
+// readLen reads a T-typed length or index and checks lo <= v <= hi.
+func readLen[T int32 | int64](b *binReader, what string, lo, hi int) int {
+	var v T
+	b.read(&v)
+	if b.err == nil && (int64(v) < int64(lo) || int64(v) > int64(hi)) {
+		b.err = fmt.Errorf("compress: corrupt spill: %s %d outside [%d, %d]", what, v, lo, hi)
+	}
+	if b.err != nil {
+		return 0
+	}
+	return int(v)
+}
+
+// readSlice reads n fixed-size values in bounded chunks, so a length the
+// input does not back fails at end of input instead of allocating up front.
+func readSlice[T any](b *binReader, n int) []T {
+	const chunk = 1 << 16
+	out := make([]T, 0, min(n, chunk))
+	for len(out) < n && b.err == nil {
+		buf := make([]T, min(n-len(out), chunk))
+		b.read(buf)
+		out = append(out, buf...)
+	}
+	return out
+}
+
+// readColumns reads a group's column count and its column indexes.
+func readColumns(b *binReader, cols int) []int {
+	n := readLen[int32](b, "group width", 1, cols)
+	var idx []int
+	for len(idx) < n && b.err == nil {
+		idx = append(idx, readLen[int32](b, "column", 0, cols-1))
+	}
+	return idx
+}
+
+// readCodes reads a dictionary-coded group's per-row codes (8 or 16 bits
+// wide) and checks each against the dictionary size.
+func readCodes(b *binReader, rows, dictLen int) ([]uint8, []uint16) {
+	var width uint8
+	b.read(&width)
+	readLen[int64](b, "code count", rows, rows)
+	switch {
+	case b.err != nil:
+		return nil, nil
+	case width == 1:
+		codes := readSlice[uint8](b, rows)
+		checkCodes(b, codes, dictLen)
+		return codes, nil
+	case width == 2:
+		codes := readSlice[uint16](b, rows)
+		checkCodes(b, codes, dictLen)
+		return nil, codes
+	}
+	b.err = fmt.Errorf("compress: corrupt spill: code width %d", width)
+	return nil, nil
+}
+
+func checkCodes[T uint8 | uint16](b *binReader, codes []T, dictLen int) {
+	for _, c := range codes {
+		if b.err == nil && int(c) >= dictLen {
+			b.err = fmt.Errorf("compress: corrupt spill: code %d outside a %d-entry dictionary", c, dictLen)
+		}
+	}
 }
 
 // WriteFile spills the compressed matrix to a file.

@@ -463,3 +463,37 @@ s = sum(X)`
 		t.Errorf("sum over explicitly compressed X differs: rel err %g", re)
 	}
 }
+
+// TestForOverCompressedMatrixMatchesPlain asserts a for loop over a matrix
+// the compression site compressed iterates its cells like the plain run: the
+// loop body's X %*% v runs on the compressed groups, the iterable reads X
+// through the one local-matrix contract, and the result is bitwise equal
+// with compression off and on.
+func TestForOverCompressedMatrixMatchesPlain(t *testing.T) {
+	x := lowCardFeatures(2000, 20, 141) // 320 KB, above CompressMinBytes
+	script := `s = 0
+t = 0
+v = matrix(1, rows=ncol(X), cols=1)
+for (i in 1:2) {
+  s = s + sum(X %*% v)
+  for (e in X) {
+    t = t + e
+  }
+}
+r = s + t`
+	inputs := map[string]any{"X": x}
+	comp, cstats, err := compressEngine(true).Execute(script, inputs, []string{"r"})
+	if err != nil {
+		t.Fatalf("compressed run failed: %v", err)
+	}
+	plain, _, err := compressEngine(false).Execute(script, inputs, []string{"r"})
+	if err != nil {
+		t.Fatalf("plain run failed: %v", err)
+	}
+	if cstats.CompressStats.Compressions < 1 || cstats.CompressStats.CompressedOps < 1 {
+		t.Errorf("X %%*%% v did not run compressed (stats %+v)", cstats.CompressStats)
+	}
+	if got, want := comp["r"].(float64), plain["r"].(float64); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("compressed r = %v, plain r = %v", got, want)
+	}
+}

@@ -235,9 +235,9 @@ func (e *Engine) Run(prog *runtime.Program, inputs map[string]any, outputs []str
 		results[name] = v
 	}
 	plans, plansDropped := ctx.PlanStats()
-	stats := &Stats{CacheStats: ctx.Cache.Stats(), PoolStats: ctx.Pool.Stats(), DistStats: ctx.DistStats(),
-		FusedStats: ctx.FusedStats(), PlanStats: plans, PlanRecordsDropped: plansDropped,
-		CompressStats: ctx.CompressStats(), LineageStore: e.store.Stats()}
+	stats := &Stats{CacheStats: ctx.Cache.Stats(), PoolStats: ctx.Pool.Stats(), DistStats: ctx.Counters.DistStats(),
+		FusedStats: ctx.Counters.FusedStats(), PlanStats: plans, PlanRecordsDropped: plansDropped,
+		CompressStats: ctx.Counters.CompressStats(), LineageStore: e.store.Stats()}
 	if e.cfg.TraceEnabled {
 		stats.OpMetrics = obs.Aggregate(obs.Resolve(obs.Snapshot()))
 		stats.TraceDropped = obs.Dropped()
@@ -377,14 +377,9 @@ func fromRuntimeData(d runtime.Data) (any, error) {
 		default:
 			return x.Float64(), nil
 		}
-	case *runtime.MatrixObject:
-		return x.Acquire()
-	case *runtime.BlockedMatrixObject:
-		// API outputs are sinks: collect the blocked matrix lazily here
-		return x.Collect()
-	case *runtime.CompressedMatrixObject:
-		// API outputs are sinks: decompress transparently (counted)
-		return x.DecompressFor("output")
+	case runtime.LocalMatrix:
+		// API outputs are sinks: collect or decompress here (counted)
+		return x.LocalBlock("output")
 	case *runtime.FrameObject:
 		return x.Frame, nil
 	case *runtime.FederatedObject:

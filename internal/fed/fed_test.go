@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/systemds/systemds-go/internal/matrix"
@@ -53,14 +54,67 @@ func startTwoSites(t *testing.T, x, y *matrix.MatrixBlock) (*FederatedMatrix, *F
 	return fx, fy, cleanup
 }
 
+// fromWire decodes a wire matrix the test expects to be well formed.
+func fromWire(t *testing.T, w *WireMatrix) *matrix.MatrixBlock {
+	t.Helper()
+	m, err := FromWire(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestWireRoundTrip(t *testing.T) {
 	m := matrix.RandUniform(7, 5, -1, 1, 0.4, 1)
-	back := FromWire(ToWire(m))
+	back := fromWire(t, ToWire(m))
 	if !back.Equals(m, 0) {
 		t.Error("wire round trip changed values")
 	}
-	if ToWire(nil) != nil || FromWire(nil) != nil {
+	if ToWire(nil) != nil || fromWire(t, nil) != nil {
 		t.Error("nil handling wrong")
+	}
+	if empty := fromWire(t, &WireMatrix{Rows: 3}); empty.Rows() != 3 || empty.Cols() != 0 {
+		t.Errorf("3x0 wire matrix decoded as %dx%d", empty.Rows(), empty.Cols())
+	}
+}
+
+// TestFromWireRejectsMalformedShapes asserts a wire matrix whose shape does
+// not match its values is an error, not a panic or an unbacked shape.
+func TestFromWireRejectsMalformedShapes(t *testing.T) {
+	for _, w := range []*WireMatrix{
+		{Rows: 2, Cols: 2, Values: []float64{1, 2, 3}},
+		{Rows: -1, Cols: -2, Values: []float64{1, 2}},
+		{Rows: -1, Cols: 0},
+		{Rows: 1 << 32, Cols: 1 << 32}, // product wraps to 0
+		{Rows: 0, Cols: 0, Values: []float64{1}},
+	} {
+		if _, err := FromWire(w); err == nil {
+			t.Errorf("%dx%d with %d values decoded without error", w.Rows, w.Cols, len(w.Values))
+		}
+	}
+}
+
+// TestWorkerSurvivesMalformedPut sends a put whose shape does not match its
+// values over the network: the worker answers with an error response and
+// keeps serving the same connection.
+func TestWorkerSurvivesMalformedPut(t *testing.T) {
+	w := NewWorker(nil)
+	addr, err := w.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Shutdown()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Call(&Request{Command: "put", Name: "A", Matrix: &WireMatrix{Rows: 3, Cols: 3, Values: []float64{1}}})
+	if err == nil || !strings.Contains(err.Error(), "wire matrix 3x3") {
+		t.Errorf("malformed put answered %v, want the worker's error naming the shape", err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Errorf("worker stopped serving after a malformed put: %v", err)
 	}
 }
 
@@ -74,7 +128,7 @@ func TestWorkerHandleBasics(t *testing.T) {
 		t.Error("put failed")
 	}
 	resp := w.Handle(&Request{Command: "get", Name: "A"})
-	if !resp.OK || !FromWire(resp.Matrix).Equals(m, 0) {
+	if !resp.OK || !fromWire(t, resp.Matrix).Equals(m, 0) {
 		t.Error("get returned wrong matrix")
 	}
 	if resp := w.Handle(&Request{Command: "get", Name: "missing"}); resp.OK {
@@ -107,22 +161,22 @@ func TestWorkerExecOps(t *testing.T) {
 	w.PutLocal("X", x)
 	w.PutLocal("y", y)
 	resp := w.Handle(&Request{Command: "exec", Op: "tsmm", Operands: []string{"X"}})
-	if !resp.OK || !FromWire(resp.Matrix).Equals(matrix.TSMM(x, 0), 1e-9) {
+	if !resp.OK || !fromWire(t, resp.Matrix).Equals(matrix.TSMM(x, 0), 1e-9) {
 		t.Error("tsmm wrong")
 	}
 	resp = w.Handle(&Request{Command: "exec", Op: "xty", Operands: []string{"X", "y"}})
 	want, _ := matrix.Multiply(matrix.Transpose(x), y, 0)
-	if !resp.OK || !FromWire(resp.Matrix).Equals(want, 1e-9) {
+	if !resp.OK || !fromWire(t, resp.Matrix).Equals(want, 1e-9) {
 		t.Error("xty wrong")
 	}
 	v := matrix.RandUniform(4, 1, -1, 1, 1.0, 4)
 	resp = w.Handle(&Request{Command: "exec", Op: "matvec", Operands: []string{"X"}, Matrix: ToWire(v)})
 	wantMV, _ := matrix.Multiply(x, v, 0)
-	if !resp.OK || !FromWire(resp.Matrix).Equals(wantMV, 1e-9) {
+	if !resp.OK || !fromWire(t, resp.Matrix).Equals(wantMV, 1e-9) {
 		t.Error("matvec wrong")
 	}
 	resp = w.Handle(&Request{Command: "exec", Op: "colSums", Operands: []string{"X"}})
-	if !resp.OK || !FromWire(resp.Matrix).Equals(matrix.ColSums(x, 1), 1e-9) {
+	if !resp.OK || !fromWire(t, resp.Matrix).Equals(matrix.ColSums(x, 1), 1e-9) {
 		t.Error("colSums wrong")
 	}
 	resp = w.Handle(&Request{Command: "exec", Op: "sum", Operands: []string{"X"}})

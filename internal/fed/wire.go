@@ -6,6 +6,8 @@
 package fed
 
 import (
+	"fmt"
+
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/obs"
 )
@@ -27,14 +29,19 @@ func ToWire(m *matrix.MatrixBlock) *WireMatrix {
 	return &WireMatrix{Rows: d.Rows(), Cols: d.Cols(), Values: d.DenseValues()}
 }
 
-// FromWire converts a wire matrix back to a matrix block.
-func FromWire(w *WireMatrix) *matrix.MatrixBlock {
+// FromWire converts a wire matrix back to a matrix block. The message came
+// off the network, so a shape that does not match the values is an error.
+func FromWire(w *WireMatrix) (*matrix.MatrixBlock, error) {
 	if w == nil {
-		return nil
+		return nil, nil
+	}
+	n := len(w.Values)
+	if w.Rows < 0 || w.Cols < 0 || (w.Cols == 0 && n != 0) || (w.Cols != 0 && (n%w.Cols != 0 || n/w.Cols != w.Rows)) {
+		return nil, fmt.Errorf("fed: wire matrix %dx%d carries %d values", w.Rows, w.Cols, n)
 	}
 	m := matrix.NewDenseFromSlice(w.Rows, w.Cols, append([]float64(nil), w.Values...))
 	m.ExamineAndApplySparsity()
-	return m
+	return m, nil
 }
 
 // Request is a message sent from the master control program to a federated

@@ -141,7 +141,11 @@ func (w *Worker) handle(req *Request) *Response {
 		if req.Matrix == nil {
 			return failf("put %s: missing matrix payload", req.Name)
 		}
-		w.PutLocal(req.Name, FromWire(req.Matrix))
+		m, err := FromWire(req.Matrix)
+		if err != nil {
+			return failf("put %s: %v", req.Name, err)
+		}
+		w.PutLocal(req.Name, m)
 		return &Response{OK: true}
 	case "readcsv":
 		m, err := io.ReadMatrixCSV(req.Path, io.DefaultCSVOptions())
@@ -215,7 +219,10 @@ func (w *Worker) exec(req *Request) *Response {
 		if req.Matrix == nil {
 			return failf("matvec needs a broadcast vector")
 		}
-		v := FromWire(req.Matrix)
+		v, err := FromWire(req.Matrix)
+		if err != nil {
+			return failf("matvec: %v", err)
+		}
 		res, err := matrix.Multiply(x, v, 0)
 		if err != nil {
 			return failf("matvec: %v", err)
@@ -244,7 +251,10 @@ func (w *Worker) exec(req *Request) *Response {
 		if err != nil {
 			return failf("%v", err)
 		}
-		wts := FromWire(req.Matrix)
+		wts, err := FromWire(req.Matrix)
+		if err != nil {
+			return failf("gradient: %v", err)
+		}
 		pred, err := matrix.Multiply(x, wts, 0)
 		if err != nil {
 			return failf("gradient: %v", err)

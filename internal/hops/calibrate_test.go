@@ -142,11 +142,11 @@ func TestShuffleStageLatencyShiftsCrossover(t *testing.T) {
 	if margin <= 0 || stages*shuffleStageLatencyBytes <= margin {
 		t.Fatalf("scenario invalid: margin=%d stageCharge=%d", margin, stages*shuffleStageLatencyBytes)
 	}
-	if m, _ := ChooseMatMultStrategy(left, right, bs, budget); m != types.MMGridJoin {
+	if m, _ := ChooseMatMultStrategyCalibrated(left, right, bs, budget, nil, MachineProfile{}); m != types.MMGridJoin {
 		t.Errorf("strategy at k=516 = %s, want gj once stage latency is priced", m)
 	}
 	// far from the break-even point the latency term must not flip anything
-	if m, _ := ChooseMatMultStrategy(dc(256, 768), dc(768, 128), bs, budget); m != types.MMShuffle {
+	if m, _ := ChooseMatMultStrategyCalibrated(dc(256, 768), dc(768, 128), bs, budget, nil, MachineProfile{}); m != types.MMShuffle {
 		t.Errorf("strategy at k=768 = %s, want sh", m)
 	}
 }
@@ -181,7 +181,7 @@ func TestMachineProfileMeasureAndCache(t *testing.T) {
 func TestProfileScoringPrefersFewerStages(t *testing.T) {
 	left, right := dc(256, 768), dc(768, 128)
 	budget := int64(16 << 10)
-	if m, _ := ChooseMatMultStrategy(left, right, 128, budget); m != types.MMShuffle {
+	if m, _ := ChooseMatMultStrategyCalibrated(left, right, 128, budget, nil, MachineProfile{}); m != types.MMShuffle {
 		t.Fatal("precondition: byte scoring must pick sh at k=768")
 	}
 	slowDispatch := MachineProfile{Measured: true, GFLOPS: 10, MemBWBytes: 1e9, DispatchNs: 1e9}

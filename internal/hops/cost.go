@@ -530,18 +530,14 @@ func matMultStrategyCost(m types.MatMultMethod, sizeL, sizeR, sizeOut, grOut, gc
 	return -1
 }
 
-// ChooseMatMultStrategy picks the cheapest feasible physical strategy for a
-// blocked matrix multiplication with the given operand characteristics
-// (assuming both operands arrive as local matrices). It returns the strategy
-// and its modeled shuffle bytes.
-func ChooseMatMultStrategy(left, right types.DataCharacteristics, blocksize int, memBudget int64) (types.MatMultMethod, int64) {
-	return chooseMatMultStrategy(left, right, blocksize, memBudget, false, false, nil, MachineProfile{})
-}
-
-// ChooseMatMultStrategyCalibrated is ChooseMatMultStrategy with the adaptive
-// inputs: the "ba+*" correction factor scales both operand estimates (the
+// ChooseMatMultStrategyCalibrated picks the cheapest feasible physical
+// strategy for a blocked matrix multiplication with the given operand
+// characteristics (assuming both operands arrive as local matrices) and
+// returns it with its modeled shuffle bytes. The adaptive inputs are
+// optional: the "ba+*" correction factor scales both operand estimates (the
 // history says how far static sizing runs from reality for this opcode) and a
-// measured machine profile switches the ranking to modeled seconds. The
+// measured machine profile switches the ranking to modeled seconds; nil and
+// the zero profile keep plain byte-count scoring. The
 // runtime's late-bound strategy selection calls this with the context's
 // calibration so re-decided plans and compile-time plans share one model.
 func ChooseMatMultStrategyCalibrated(left, right types.DataCharacteristics, blocksize int, memBudget int64, calib *Calibration, prof MachineProfile) (types.MatMultMethod, int64) {
@@ -556,7 +552,7 @@ func strategySeconds(prof MachineProfile, bytes, stages int64) float64 {
 }
 
 // chooseMatMultStrategy is the blocked-representation-aware core of
-// ChooseMatMultStrategy. Ties break towards the earlier candidate in
+// ChooseMatMultStrategyCalibrated. Ties break towards the earlier candidate in
 // (br, bl, gj, sh) order, so the decision is deterministic.
 func chooseMatMultStrategy(left, right types.DataCharacteristics, blocksize int, memBudget int64, leftBlocked, rightBlocked bool, calib *Calibration, prof MachineProfile) (types.MatMultMethod, int64) {
 	sizeL, sizeR := types.EstimateSize(left), types.EstimateSize(right)

@@ -56,10 +56,10 @@ func TestMatMultBroadcastSideSelection(t *testing.T) {
 	small := dc(512, 8)   // ~32 KB <= budget
 	smallL := dc(8, 1024) // ~64 KB <= budget
 
-	if m, _ := ChooseMatMultStrategy(big, small, bs, budget); m != types.MMBroadcastRight {
+	if m, _ := ChooseMatMultStrategyCalibrated(big, small, bs, budget, nil, MachineProfile{}); m != types.MMBroadcastRight {
 		t.Errorf("small right operand: strategy = %s, want br", m)
 	}
-	if m, _ := ChooseMatMultStrategy(smallL, dc(1024, 512), bs, budget); m != types.MMBroadcastLeft {
+	if m, _ := ChooseMatMultStrategyCalibrated(smallL, dc(1024, 512), bs, budget, nil, MachineProfile{}); m != types.MMBroadcastLeft {
 		t.Errorf("small left operand: strategy = %s, want bl", m)
 	}
 }
@@ -83,7 +83,7 @@ func TestMatMultGridVsShuffleCrossover(t *testing.T) {
 		if types.EstimateSize(left) <= budget || types.EstimateSize(right) <= budget {
 			t.Fatalf("k=%d: operands must exceed the broadcast budget", tc.k)
 		}
-		m, shuffleBytes := ChooseMatMultStrategy(left, right, bs, budget)
+		m, shuffleBytes := ChooseMatMultStrategyCalibrated(left, right, bs, budget, nil, MachineProfile{})
 		if m != tc.want {
 			t.Errorf("k=%d: strategy = %s, want %s", tc.k, m, tc.want)
 		}

@@ -73,7 +73,7 @@ func (i *BinaryInst) Execute(ctx *runtime.Context) error {
 		ctx.Set(i.outs[0], scalarResult(i.opcode, res))
 		return nil
 	case lIsScalar && !rIsScalar:
-		if co, ok := resolveCompressed(r); ok {
+		if co, ok := r.(*runtime.CompressedMatrixObject); ok {
 			return i.executeCompressedScalar(ctx, co, op, ls.Float64(), true)
 		}
 		if useDist(ctx, i.ExecType, r) {
@@ -94,7 +94,7 @@ func (i *BinaryInst) Execute(ctx *runtime.Context) error {
 		ctx.SetMatrix(i.outs[0], matrix.ScalarOp(rb, ls.Float64(), op, true, ctx.Config.Threads()))
 		return nil
 	case !lIsScalar && rIsScalar:
-		if co, ok := resolveCompressed(l); ok {
+		if co, ok := l.(*runtime.CompressedMatrixObject); ok {
 			return i.executeCompressedScalar(ctx, co, op, rs.Float64(), false)
 		}
 		if useDist(ctx, i.ExecType, l) {
@@ -171,7 +171,7 @@ func (i *BinaryInst) executeCompressedScalar(ctx *runtime.Context, co *runtime.C
 	if swap {
 		fn = func(x float64) float64 { return op.Apply(scalar, x) }
 	}
-	ctx.CountCompressedOp()
+	ctx.Counters.CompressedOps.Add(1)
 	ctx.SetCompressed(i.outs[0], cm.MapValues(fn, ctx.Config.Threads()))
 	return nil
 }

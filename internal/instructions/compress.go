@@ -46,20 +46,15 @@ func (i *CompressInst) Execute(ctx *runtime.Context) error {
 	}
 	cm, _, accepted := compress.Compress(blk, compress.PlannerConfig{}, ctx.Config.Threads())
 	if !accepted {
-		ctx.CountCompressionRejected()
+		ctx.Counters.Rejected.Add(1)
 		ctx.RecordPlan(i.opcode, "reject", i.EstBytes, blk.InMemorySize())
 		ctx.Set(i.outs[0], d)
 		return nil
 	}
-	ctx.CountCompression(blk.InMemorySize(), cm.InMemorySize())
+	ctx.Counters.Compressions.Add(1)
+	ctx.Counters.BytesUncompressed.Add(blk.InMemorySize())
+	ctx.Counters.BytesCompressed.Add(cm.InMemorySize())
 	ctx.RecordPlan(i.opcode, cm.EncodingSummary(), i.EstBytes, cm.InMemorySize())
 	ctx.SetCompressed(i.outs[0], cm)
 	return nil
-}
-
-// resolveCompressed returns the compressed matrix behind a data object when
-// the operand is a first-class compressed value.
-func resolveCompressed(d runtime.Data) (*runtime.CompressedMatrixObject, bool) {
-	co, ok := d.(*runtime.CompressedMatrixObject)
-	return co, ok
 }

@@ -57,10 +57,8 @@ func (i *PrintInst) Execute(ctx *runtime.Context) error {
 	switch v := d.(type) {
 	case *runtime.Scalar:
 		fmt.Fprintln(ctx.Out, v.StringValue())
-	case *runtime.MatrixObject, *runtime.BlockedMatrixObject, *runtime.CompressedMatrixObject:
-		// sinks acquire local matrices, lazily collect blocked ones and
-		// transparently decompress compressed ones
-		blk, err := i.In.MatrixBlockFor(ctx, i.opcode)
+	case runtime.LocalMatrix:
+		blk, err := v.LocalBlock(i.opcode)
 		if err != nil {
 			return err
 		}
@@ -226,10 +224,8 @@ func (i *WriteInst) Execute(ctx *runtime.Context) error {
 		return err
 	}
 	switch v := d.(type) {
-	case *runtime.MatrixObject, *runtime.BlockedMatrixObject, *runtime.CompressedMatrixObject:
-		// sinks acquire local matrices, lazily collect blocked ones and
-		// transparently decompress compressed ones
-		blk, err := i.In.MatrixBlockFor(ctx, i.opcode)
+	case runtime.LocalMatrix:
+		blk, err := v.LocalBlock(i.opcode)
 		if err != nil {
 			return err
 		}

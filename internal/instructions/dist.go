@@ -46,7 +46,7 @@ func resolveBlockedData(ctx *runtime.Context, d runtime.Data, o Operand) (*dist.
 	if err != nil {
 		return nil, err
 	}
-	ctx.CountDistPartition()
+	ctx.Counters.Partitions.Add(1)
 	bm, err := dist.FromMatrixBlock(blk, bs)
 	if err != nil {
 		return nil, err
@@ -99,13 +99,13 @@ func resolveBlockedPair(ctx *runtime.Context, a, b Operand) (*dist.BlockedMatrix
 // blocked instruction set, not just matmults.
 func bindBlockedResult(ctx *runtime.Context, name string, bm *dist.BlockedMatrix, keepBlocked bool,
 	op, plan string, estBytes int64) error {
-	ctx.CountBlockedOp()
+	ctx.Counters.BlockedOps.Add(1)
 	ctx.RecordPlan(op, plan, estBytes, bm.InMemorySize())
 	if keepBlocked {
 		ctx.SetBlocked(name, bm)
 		return nil
 	}
-	ctx.CountDistCollect()
+	ctx.Counters.Collects.Add(1)
 	local, err := bm.ToMatrixBlock()
 	if err != nil {
 		return err
@@ -114,19 +114,13 @@ func bindBlockedResult(ctx *runtime.Context, name string, bm *dist.BlockedMatrix
 	return nil
 }
 
-// matrixDims returns the dimensions of a matrix-typed data object without
-// touching (or collecting) the data.
+// matrixDims returns the dimensions of a local matrix without touching (or
+// collecting) the data.
 func matrixDims(d runtime.Data) (rows, cols int64, ok bool) {
-	switch v := d.(type) {
-	case *runtime.MatrixObject:
-		dc := v.DataCharacteristics()
-		return dc.Rows, dc.Cols, true
-	case *runtime.BlockedMatrixObject:
-		dc := v.DataCharacteristics()
-		return dc.Rows, dc.Cols, true
-	case *runtime.CompressedMatrixObject:
-		dc := v.DataCharacteristics()
-		return dc.Rows, dc.Cols, true
+	lm, ok := d.(runtime.LocalMatrix)
+	if !ok {
+		return 0, 0, false
 	}
-	return 0, 0, false
+	dc := lm.DataCharacteristics()
+	return dc.Rows, dc.Cols, true
 }

@@ -45,7 +45,7 @@ func (i *MMChainInst) Execute(ctx *runtime.Context) error {
 	// groups — the hot gradient step of iterative algorithms never
 	// decompresses
 	if xd, err := i.X.Resolve(ctx); err == nil {
-		if co, ok := resolveCompressed(xd); ok {
+		if co, ok := xd.(*runtime.CompressedMatrixObject); ok {
 			cm, err := co.Compressed()
 			if err != nil {
 				return err
@@ -54,8 +54,8 @@ func (i *MMChainInst) Execute(ctx *runtime.Context) error {
 			if err != nil {
 				return fmt.Errorf("instructions: compressed mmchain: %w", err)
 			}
-			ctx.CountCompressedOp()
-			ctx.CountMMChain()
+			ctx.Counters.CompressedOps.Add(1)
+			ctx.Counters.MMChainOps.Add(1)
 			ctx.SetMatrix(i.outs[0], res)
 			return nil
 		}
@@ -68,7 +68,7 @@ func (i *MMChainInst) Execute(ctx *runtime.Context) error {
 	if err != nil {
 		return fmt.Errorf("instructions: mmchain: %w", err)
 	}
-	ctx.CountMMChain()
+	ctx.Counters.MMChainOps.Add(1)
 	ctx.SetMatrix(i.outs[0], res)
 	return nil
 }
@@ -114,7 +114,7 @@ func (i *FusedAggInst) Execute(ctx *runtime.Context) error {
 	if err != nil {
 		return fmt.Errorf("instructions: %s: %w", i.opcode, err)
 	}
-	ctx.CountFusedAgg()
+	ctx.Counters.FusedAggOps.Add(1)
 	switch i.Agg {
 	case matrix.AggSum, matrix.AggMin, matrix.AggMax:
 		ctx.Set(i.outs[0], runtime.NewDouble(res.Get(0, 0)))

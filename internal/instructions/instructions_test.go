@@ -22,7 +22,7 @@ func newCtx() *runtime.Context {
 
 func getMat(t *testing.T, ctx *runtime.Context, name string) *matrix.MatrixBlock {
 	t.Helper()
-	blk, err := ctx.GetMatrixBlock(name)
+	blk, err := ctx.GetMatrixBlockFor(name, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestOperandResolution(t *testing.T) {
 	if v, _ := LitInt(4).Int(ctx); v != 4 {
 		t.Error("int literal wrong")
 	}
-	mb, err := LitDouble(5).MatrixBlock(ctx)
+	mb, err := LitDouble(5).MatrixBlockFor(ctx, "test")
 	if err != nil || mb.Get(0, 0) != 5 {
 		t.Error("literal to matrix promotion wrong")
 	}

@@ -127,7 +127,7 @@ func (i *MatMultInst) Execute(ctx *runtime.Context) error {
 // right-hand side). It reports whether it handled the operation.
 func (i *MatMultInst) executeCompressed(ctx *runtime.Context, l, r runtime.Data, threads int) (bool, error) {
 	// X %*% v / X %*% B with compressed X
-	if co, ok := resolveCompressed(l); ok {
+	if co, ok := l.(*runtime.CompressedMatrixObject); ok {
 		if _, rc, rok := matrixDims(r); rok {
 			cm, err := co.Compressed()
 			if err != nil {
@@ -157,7 +157,7 @@ func (i *MatMultInst) executeCompressed(ctx *runtime.Context, l, r runtime.Data,
 				if err != nil {
 					return true, err
 				}
-				ctx.CountBlockedOp()
+				ctx.Counters.BlockedOps.Add(1)
 			} else {
 				kernel = "cmv"
 				if rc == 1 {
@@ -170,7 +170,7 @@ func (i *MatMultInst) executeCompressed(ctx *runtime.Context, l, r runtime.Data,
 					return true, err
 				}
 			}
-			ctx.CountCompressedOp()
+			ctx.Counters.CompressedOps.Add(1)
 			ctx.RecordPlan(i.opcode, kernel+":"+cm.EncodingSummary(), i.EstBytes, res.InMemorySize())
 			ctx.SetMatrix(i.outs[0], res)
 			return true, nil
@@ -180,7 +180,7 @@ func (i *MatMultInst) executeCompressed(ctx *runtime.Context, l, r runtime.Data,
 	// vector, t(t(X) %*% t(U)) over the transposed matrix-RHS kernel for a
 	// matrix — the plans the left-transpose rewrite makes of t(X) %*% v and
 	// t(X) %*% B
-	if co, ok := resolveCompressed(r); ok {
+	if co, ok := r.(*runtime.CompressedMatrixObject); ok {
 		if _, _, lok := matrixDims(l); lok {
 			cm, err := co.Compressed()
 			if err != nil {
@@ -204,7 +204,7 @@ func (i *MatMultInst) executeCompressed(ctx *runtime.Context, l, r runtime.Data,
 			if err != nil {
 				return true, err
 			}
-			ctx.CountCompressedOp()
+			ctx.Counters.CompressedOps.Add(1)
 			ctx.RecordPlan(i.opcode, kernel+":"+cm.EncodingSummary(), i.EstBytes, res.InMemorySize())
 			ctx.SetMatrix(i.outs[0], res)
 			return true, nil
@@ -370,7 +370,7 @@ func (i *TSMMInst) Execute(ctx *runtime.Context) error {
 	// compressed input: the Gram matrix comes straight off the dictionaries
 	// (counts-weighted self products, co-occurrence-weighted cross products) —
 	// X never materializes
-	if co, ok := resolveCompressed(d); ok {
+	if co, ok := d.(*runtime.CompressedMatrixObject); ok {
 		cm, err := co.Compressed()
 		if err != nil {
 			return err
@@ -387,14 +387,14 @@ func (i *TSMMInst) Execute(ctx *runtime.Context) error {
 			if err != nil {
 				return err
 			}
-			ctx.CountBlockedOp()
-			ctx.CountCompressedOp()
+			ctx.Counters.BlockedOps.Add(1)
+			ctx.Counters.CompressedOps.Add(1)
 			ctx.RecordPlan(i.opcode, "dist-ctsmm:"+cm.EncodingSummary(), i.EstBytes, res.InMemorySize())
 			ctx.SetMatrix(i.outs[0], res)
 			return nil
 		}
 		res := cm.TSMM(threads)
-		ctx.CountCompressedOp()
+		ctx.Counters.CompressedOps.Add(1)
 		ctx.RecordPlan(i.opcode, "ctsmm:"+cm.EncodingSummary(), i.EstBytes, res.InMemorySize())
 		ctx.SetMatrix(i.outs[0], res)
 		return nil
@@ -408,7 +408,7 @@ func (i *TSMMInst) Execute(ctx *runtime.Context) error {
 		if err != nil {
 			return err
 		}
-		ctx.CountBlockedOp()
+		ctx.Counters.BlockedOps.Add(1)
 		ctx.RecordPlan(i.opcode, "dist", i.EstBytes, res.InMemorySize())
 		ctx.SetMatrix(i.outs[0], res)
 		return nil

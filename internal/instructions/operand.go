@@ -56,10 +56,10 @@ func (o Operand) Scalar(ctx *runtime.Context) (*runtime.Scalar, error) {
 	}
 	s, ok := d.(*runtime.Scalar)
 	if !ok {
-		if mo, isMat := d.(*runtime.MatrixObject); isMat {
-			dc := mo.DataCharacteristics()
+		if lm, isMat := d.(runtime.LocalMatrix); isMat {
+			dc := lm.DataCharacteristics()
 			if dc.Rows == 1 && dc.Cols == 1 {
-				blk, err := mo.Acquire()
+				blk, err := lm.LocalBlock("scalar")
 				if err != nil {
 					return nil, err
 				}
@@ -71,14 +71,9 @@ func (o Operand) Scalar(ctx *runtime.Context) (*runtime.Scalar, error) {
 	return s, nil
 }
 
-// MatrixBlock resolves the operand as a local matrix block (scalars are
-// promoted to 1x1).
-func (o Operand) MatrixBlock(ctx *runtime.Context) (*matrix.MatrixBlock, error) {
-	return o.MatrixBlockFor(ctx, "other")
-}
-
-// MatrixBlockFor is MatrixBlock with the consuming opcode recorded when the
-// read forces a fallback decompression of a compressed variable.
+// MatrixBlockFor resolves the operand as a local matrix block (scalars are
+// promoted to 1x1), recording the consuming opcode when the read forces a
+// fallback decompression of a compressed variable.
 func (o Operand) MatrixBlockFor(ctx *runtime.Context, op string) (*matrix.MatrixBlock, error) {
 	if o.IsLit {
 		m := matrix.NewDense(1, 1)

@@ -56,6 +56,17 @@ func (i *UnaryInst) Execute(ctx *runtime.Context) error {
 	if err != nil {
 		return err
 	}
+	if co, ok := d.(*runtime.CompressedMatrixObject); ok {
+		// cellwise unary on compressed data is a dictionary-only update: the
+		// encoding structure is shared, only the distinct values are rewritten
+		cm, err := co.Compressed()
+		if err != nil {
+			return err
+		}
+		ctx.Counters.CompressedOps.Add(1)
+		ctx.SetCompressed(i.outs[0], cm.MapValues(op.Apply, ctx.Config.Threads()))
+		return nil
+	}
 	switch v := d.(type) {
 	case *runtime.Scalar:
 		res := op.Apply(v.Float64())
@@ -64,16 +75,6 @@ func (i *UnaryInst) Execute(ctx *runtime.Context) error {
 		} else {
 			ctx.Set(i.outs[0], runtime.NewDouble(res))
 		}
-		return nil
-	case *runtime.CompressedMatrixObject:
-		// cellwise unary on compressed data is a dictionary-only update: the
-		// encoding structure is shared, only the distinct values are rewritten
-		cm, err := v.Compressed()
-		if err != nil {
-			return err
-		}
-		ctx.CountCompressedOp()
-		ctx.SetCompressed(i.outs[0], cm.MapValues(op.Apply, ctx.Config.Threads()))
 		return nil
 	case *runtime.MatrixObject, *runtime.BlockedMatrixObject:
 		if useDist(ctx, i.ExecType, d) {
@@ -154,7 +155,7 @@ func (i *AggInst) Execute(ctx *runtime.Context) error {
 			return nil
 		}
 	}
-	if co, ok := resolveCompressed(d); ok {
+	if co, ok := d.(*runtime.CompressedMatrixObject); ok {
 		if handled, err := i.tryCompressed(ctx, co); handled {
 			return err
 		}
@@ -280,7 +281,7 @@ func (i *AggInst) tryCompressed(ctx *runtime.Context, co *runtime.CompressedMatr
 	default:
 		return false, nil
 	}
-	ctx.CountCompressedOp()
+	ctx.Counters.CompressedOps.Add(1)
 	return true, nil
 }
 
@@ -311,7 +312,7 @@ func (i *AggInst) tryDistributed(ctx *runtime.Context, d runtime.Data) error {
 		if err != nil {
 			return err
 		}
-		ctx.CountBlockedOp()
+		ctx.Counters.BlockedOps.Add(1)
 		ctx.RecordPlan(i.opcode, "dist", i.EstBytes, 64)
 		ctx.Set(i.outs[0], runtime.NewDouble(v))
 		return nil

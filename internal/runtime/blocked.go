@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 
 	"github.com/systemds/systemds-go/internal/bufferpool"
 	"github.com/systemds/systemds-go/internal/dist"
@@ -14,67 +13,12 @@ import (
 	"github.com/systemds/systemds-go/internal/types"
 )
 
-// DistStats is a snapshot of the distributed-backend counters of one context
-// tree: how often a local matrix was partitioned into blocked form, how often
-// a blocked matrix was collected back into a local block, and how many
-// operators executed on the blocked backend. A chain of N blocked operators
-// should cost one partition and at most one collect, not N of each.
-type DistStats struct {
-	Partitions int64
-	Collects   int64
-	BlockedOps int64
-}
-
-// distCounters is the shared mutable counter state behind DistStats; child
-// contexts share their parent's counters.
-type distCounters struct {
-	partitions atomic.Int64
-	collects   atomic.Int64
-	blockedOps atomic.Int64
-}
-
-func (c *distCounters) snapshot() DistStats {
-	if c == nil {
-		return DistStats{}
-	}
-	return DistStats{
-		Partitions: c.partitions.Load(),
-		Collects:   c.collects.Load(),
-		BlockedOps: c.blockedOps.Load(),
-	}
-}
-
-// FusedStats is a snapshot of the fused-operator hit counters of one context
-// tree: how many fused mmchain and fused cellwise-aggregate instructions
-// executed (the fusion analogue of DistStats, surfaced through core.Stats).
-type FusedStats struct {
-	MMChainOps  int64
-	FusedAggOps int64
-}
-
-// fusedCounters is the shared mutable counter state behind FusedStats; child
-// contexts share their parent's counters.
-type fusedCounters struct {
-	mmchain  atomic.Int64
-	fusedAgg atomic.Int64
-}
-
-func (c *fusedCounters) snapshot() FusedStats {
-	if c == nil {
-		return FusedStats{}
-	}
-	return FusedStats{
-		MMChainOps:  c.mmchain.Load(),
-		FusedAggOps: c.fusedAgg.Load(),
-	}
-}
-
 // BlockedMatrixObject is the first-class runtime handle of a blocked
 // ("distributed") matrix: it flows through the symbol table like any other
 // data object, so consecutive blocked operators hand the partitioned
 // representation to each other without collecting and re-partitioning. Only a
 // CP consumer or a sink (print, write, API output) triggers a collect, via
-// Collect. The object participates in the buffer pool with per-block spill
+// LocalBlock. The object participates in the buffer pool with per-block spill
 // files.
 type BlockedMatrixObject struct {
 	id   int64
@@ -92,12 +36,12 @@ type BlockedMatrixObject struct {
 	// deliberately not part of MemorySize; eviction drops it.
 	local *matrix.MatrixBlock
 	pool  *bufferpool.Pool
-	ctr   *distCounters
+	ctr   *Counters
 }
 
-// NewBlockedMatrixObject wraps a blocked matrix into a managed object and
-// registers it with the buffer pool. The counters may be nil.
-func NewBlockedMatrixObject(bm *dist.BlockedMatrix, pool *bufferpool.Pool, ctr *distCounters) *BlockedMatrixObject {
+// NewBlockedMatrixObject wraps a blocked matrix into a managed object, counted
+// in ctr, and registers it with the buffer pool.
+func NewBlockedMatrixObject(bm *dist.BlockedMatrix, pool *bufferpool.Pool, ctr *Counters) *BlockedMatrixObject {
 	bo := &BlockedMatrixObject{
 		dc:   types.DataCharacteristics{Rows: int64(bm.Rows), Cols: int64(bm.Cols), Blocksize: bm.Blocksize, NNZ: -1},
 		bm:   bm,
@@ -217,47 +161,33 @@ func (b *BlockedMatrixObject) Region(rl, ru, cl, cu int) (*matrix.MatrixBlock, e
 	return res.ExamineAndApplySparsity(), nil
 }
 
-// Collect assembles the blocked matrix into one local matrix block — the
-// lazy collect performed only when a CP consumer or sink needs local data.
-// The assembled block is memoized, so only the first consumer pays (and
-// counts) the collect.
-func (b *BlockedMatrixObject) Collect() (*matrix.MatrixBlock, error) {
-	b.mu.Lock()
-	if b.local != nil {
-		blk := b.local
-		b.mu.Unlock()
-		return blk, nil
+// LocalBlock implements LocalMatrix: the blocks are assembled into one local
+// block only when a CP consumer or sink needs local data. The assembled
+// block is memoized, so only the first consumer pays (and counts) the
+// collect.
+func (b *BlockedMatrixObject) LocalBlock(string) (*matrix.MatrixBlock, error) {
+	blk, won, err := memoLocal(&b.mu, &b.local, b.collect)
+	if won {
+		b.ctr.Collects.Add(1)
 	}
-	b.mu.Unlock()
+	return blk, err
+}
+
+// collect assembles the local block from the blocked form, spanned as a dist
+// "collect" sub-phase.
+func (b *BlockedMatrixObject) collect() (*matrix.MatrixBlock, error) {
 	sp := obs.Begin(obs.CatDist, "collect")
-	blk, err := b.collectBlocks()
+	bm, err := b.Blocked()
+	var blk *matrix.MatrixBlock
+	if err == nil {
+		blk, err = bm.ToMatrixBlock()
+	}
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
 	sp.EndBytes(blk.InMemorySize())
-	won := false
-	b.mu.Lock()
-	if b.local == nil {
-		b.local = blk
-		won = true
-	}
-	blk = b.local
-	b.mu.Unlock()
-	if won && b.ctr != nil {
-		b.ctr.collects.Add(1)
-	}
 	return blk, nil
-}
-
-// collectBlocks assembles the local block from the blocked form (the
-// non-memoized part of Collect, spanned as a dist "collect" sub-phase).
-func (b *BlockedMatrixObject) collectBlocks() (*matrix.MatrixBlock, error) {
-	bm, err := b.Blocked()
-	if err != nil {
-		return nil, err
-	}
-	return bm.ToMatrixBlock()
 }
 
 // PoolID implements bufferpool.Entry.

@@ -48,15 +48,15 @@ func TestBlockedObjectSpillAndRestore(t *testing.T) {
 	}
 
 	// lazy collect restores from the per-block spill files
-	got, err := ctx.GetMatrixBlock("B")
+	got, err := ctx.GetMatrixBlockFor("B", "test")
 	if err != nil {
 		t.Fatalf("collect after spill: %v", err)
 	}
 	if !m.Equals(got, 0) {
 		t.Error("restored blocked matrix differs from original")
 	}
-	if ctx.DistStats().Collects != 1 {
-		t.Errorf("collects = %d, want 1", ctx.DistStats().Collects)
+	if ctx.Counters.DistStats().Collects != 1 {
+		t.Errorf("collects = %d, want 1", ctx.Counters.DistStats().Collects)
 	}
 	if ctx.Pool.Stats().Restores == 0 {
 		t.Error("expected a recorded restore")
@@ -94,12 +94,12 @@ func TestMergeResultsHandlesBlockedValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	origData := NewBlockedMatrixObject(obm, ctx.Pool, nil)
+	origData := NewBlockedMatrixObject(obm, ctx.Pool, ctx.Counters)
 
 	m1 := orig.Copy()
 	m1.Set(0, 0, 999)
 	bm1, _ := dist.FromMatrixBlock(m1, 4)
-	w1 := workerResult{lastIter: 1, vars: map[string]Data{"R": NewBlockedMatrixObject(bm1, ctx.Pool, nil)}}
+	w1 := workerResult{lastIter: 1, vars: map[string]Data{"R": NewBlockedMatrixObject(bm1, ctx.Pool, ctx.Counters)}}
 	m2 := orig.Copy()
 	m2.Set(5, 5, -7)
 	w2 := workerResult{lastIter: 2, vars: map[string]Data{"R": NewMatrixObject(m2, ctx.Pool)}}
@@ -131,18 +131,18 @@ func TestCollectMemoizesAndCountsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx.SetBlocked("B", bm)
-	a, err := ctx.GetMatrixBlock("B")
+	a, err := ctx.GetMatrixBlockFor("B", "test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ctx.GetMatrixBlock("B")
+	b, err := ctx.GetMatrixBlockFor("B", "test")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("repeated collects should return the memoized block")
 	}
-	if got := ctx.DistStats().Collects; got != 1 {
+	if got := ctx.Counters.DistStats().Collects; got != 1 {
 		t.Errorf("collects = %d, want 1 (memoized)", got)
 	}
 }

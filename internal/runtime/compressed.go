@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/systemds/systemds-go/internal/bufferpool"
 	"github.com/systemds/systemds-go/internal/compress"
@@ -12,80 +11,6 @@ import (
 	"github.com/systemds/systemds-go/internal/obs"
 	"github.com/systemds/systemds-go/internal/types"
 )
-
-// CompressStats is a snapshot of the compressed-linear-algebra counters of
-// one context tree: how many matrices were compressed (and how many the
-// sample-based planner rejected), how many operators executed directly on the
-// compressed representation, and how often an unsupported operator fell back
-// to transparent decompression. An iterative workload on the compressed hot
-// path should show compressions and compressed ops but zero decompressions.
-type CompressStats struct {
-	Compressions      int64
-	Rejected          int64
-	CompressedOps     int64
-	Decompressions    int64
-	BytesUncompressed int64
-	BytesCompressed   int64
-	// DecompressionsByOp attributes each fallback decompression to the opcode
-	// (or runtime site label, e.g. "output") that triggered it, so a workload
-	// that is NOT fully on the compressed path shows exactly which operators
-	// forced materialization.
-	DecompressionsByOp map[string]int64
-}
-
-// compressCounters is the shared mutable counter state behind CompressStats;
-// child contexts share their parent's counters.
-type compressCounters struct {
-	compressions   atomic.Int64
-	rejected       atomic.Int64
-	compressedOps  atomic.Int64
-	decompressions atomic.Int64
-	bytesUncomp    atomic.Int64
-	bytesComp      atomic.Int64
-
-	mu         sync.Mutex
-	decompByOp map[string]int64
-}
-
-// countDecompression records one fallback decompression attributed to op.
-func (c *compressCounters) countDecompression(op string) {
-	if c == nil {
-		return
-	}
-	if op == "" {
-		op = "other"
-	}
-	c.decompressions.Add(1)
-	c.mu.Lock()
-	if c.decompByOp == nil {
-		c.decompByOp = map[string]int64{}
-	}
-	c.decompByOp[op]++
-	c.mu.Unlock()
-}
-
-func (c *compressCounters) snapshot() CompressStats {
-	if c == nil {
-		return CompressStats{}
-	}
-	s := CompressStats{
-		Compressions:      c.compressions.Load(),
-		Rejected:          c.rejected.Load(),
-		CompressedOps:     c.compressedOps.Load(),
-		Decompressions:    c.decompressions.Load(),
-		BytesUncompressed: c.bytesUncomp.Load(),
-		BytesCompressed:   c.bytesComp.Load(),
-	}
-	c.mu.Lock()
-	if len(c.decompByOp) > 0 {
-		s.DecompressionsByOp = make(map[string]int64, len(c.decompByOp))
-		for op, n := range c.decompByOp {
-			s.DecompressionsByOp[op] = n
-		}
-	}
-	c.mu.Unlock()
-	return s
-}
 
 // CompressedMatrixObject is the first-class runtime handle of a column-group
 // compressed matrix: it flows through the symbol table like any other matrix
@@ -110,12 +35,12 @@ type CompressedMatrixObject struct {
 	part     *dist.CompressedBlocked
 	partSize int
 	pool     *bufferpool.Pool
-	ctr      *compressCounters
+	ctr      *Counters
 }
 
-// NewCompressedMatrixObject wraps a compressed matrix into a managed object
-// and registers it with the buffer pool. The counters may be nil.
-func NewCompressedMatrixObject(cm *compress.CompressedMatrix, pool *bufferpool.Pool, ctr *compressCounters) *CompressedMatrixObject {
+// NewCompressedMatrixObject wraps a compressed matrix into a managed object,
+// counted in ctr, and registers it with the buffer pool.
+func NewCompressedMatrixObject(cm *compress.CompressedMatrix, pool *bufferpool.Pool, ctr *Counters) *CompressedMatrixObject {
 	co := &CompressedMatrixObject{
 		dc: types.DataCharacteristics{
 			Rows: int64(cm.Rows()), Cols: int64(cm.Cols()),
@@ -160,6 +85,9 @@ func (c *CompressedMatrixObject) Compressed() (*compress.CompressedMatrix, error
 			return nil, fmt.Errorf("runtime: compressed matrix object %d has neither data nor spill file", c.id)
 		}
 		cm, err := compress.ReadFile(c.spillPath)
+		if err == nil && (int64(cm.Rows()) != c.dc.Rows || int64(cm.Cols()) != c.dc.Cols) {
+			err = fmt.Errorf("spill holds a %dx%d matrix, want %dx%d", cm.Rows(), cm.Cols(), c.dc.Rows, c.dc.Cols)
+		}
 		if err != nil {
 			c.mu.Unlock()
 			return nil, fmt.Errorf("runtime: restore evicted compressed matrix: %w", err)
@@ -175,25 +103,22 @@ func (c *CompressedMatrixObject) Compressed() (*compress.CompressedMatrix, error
 	return cm, nil
 }
 
-// Decompress materializes the local block — the transparent fallback for
-// consumers without a compressed kernel. The block is memoized so only the
-// first consumer pays (and counts) the decompression.
-func (c *CompressedMatrixObject) Decompress() (*matrix.MatrixBlock, error) {
-	return c.DecompressFor("other")
+// LocalBlock implements LocalMatrix: the transparent decompression fallback
+// for consumers without a compressed kernel. The block is memoized, and only
+// the consumer that wins the memoization race is charged in the per-opcode
+// decompression counters — repeated fallback reads of the same variable count
+// once, against the first op that needed the block.
+func (c *CompressedMatrixObject) LocalBlock(op string) (*matrix.MatrixBlock, error) {
+	blk, won, err := memoLocal(&c.mu, &c.local, c.decompress)
+	if won {
+		c.ctr.countDecompression(op)
+	}
+	return blk, err
 }
 
-// DecompressFor is Decompress with the triggering opcode (or site label)
-// recorded in the per-opcode decompression counters. Only the consumer that
-// wins the memoization race is charged — repeated fallback reads of the same
-// variable count once, against the first opcode that needed the block.
-func (c *CompressedMatrixObject) DecompressFor(op string) (*matrix.MatrixBlock, error) {
-	c.mu.Lock()
-	if c.local != nil {
-		blk := c.local
-		c.mu.Unlock()
-		return blk, nil
-	}
-	c.mu.Unlock()
+// decompress materializes the local block, spanned as a compress
+// "decompress" sub-phase.
+func (c *CompressedMatrixObject) decompress() (*matrix.MatrixBlock, error) {
 	cm, err := c.Compressed()
 	if err != nil {
 		return nil, err
@@ -201,17 +126,6 @@ func (c *CompressedMatrixObject) DecompressFor(op string) (*matrix.MatrixBlock, 
 	sp := obs.Begin(obs.CatCompress, "decompress")
 	blk := cm.Decompress()
 	sp.EndBytes(blk.InMemorySize())
-	won := false
-	c.mu.Lock()
-	if c.local == nil {
-		c.local = blk
-		won = true
-	}
-	blk = c.local
-	c.mu.Unlock()
-	if won {
-		c.ctr.countDecompression(op)
-	}
 	return blk, nil
 }
 
@@ -242,14 +156,6 @@ func (c *CompressedMatrixObject) Partitioned(rowsPerPart int) (*dist.CompressedB
 	p = c.part
 	c.mu.Unlock()
 	return p, nil
-}
-
-// CountCompressedOp records one operator executed directly on the compressed
-// representation of this object.
-func (c *CompressedMatrixObject) CountCompressedOp() {
-	if c.ctr != nil {
-		c.ctr.compressedOps.Add(1)
-	}
 }
 
 // PoolID implements bufferpool.Entry.

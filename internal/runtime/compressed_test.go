@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"github.com/systemds/systemds-go/internal/bufferpool"
@@ -37,7 +38,7 @@ func TestCompressedObjectSpillsCompressedBytes(t *testing.T) {
 	dir := t.TempDir()
 	pool := bufferpool.New(0, dir) // no auto-eviction; we drive Evict directly
 	m, cm := compressedFixture(t)
-	co := NewCompressedMatrixObject(cm, pool, nil)
+	co := NewCompressedMatrixObject(cm, pool, &Counters{})
 
 	path := filepath.Join(dir, "spill.sdsc")
 	if err := co.Evict(path); err != nil {
@@ -73,20 +74,82 @@ func TestCompressedObjectSpillsCompressedBytes(t *testing.T) {
 // consumer.
 func TestCompressedObjectDecompressMemoizedAndCounted(t *testing.T) {
 	_, cm := compressedFixture(t)
-	ctr := &compressCounters{}
+	ctr := &Counters{}
 	co := NewCompressedMatrixObject(cm, nil, ctr)
-	b1, err := co.Decompress()
+	b1, err := co.LocalBlock("first")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := co.Decompress()
+	b2, err := co.LocalBlock("second")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b1 != b2 {
 		t.Errorf("repeated decompression did not reuse the memo")
 	}
-	if got := ctr.decompressions.Load(); got != 1 {
-		t.Errorf("decompressions = %d, want 1", got)
+	if got := ctr.CompressStats(); got.Decompressions != 1 || got.DecompressionsByOp["first"] != 1 {
+		t.Errorf("decompressions = %d by op %v, want 1 charged to the first reader", got.Decompressions, got.DecompressionsByOp)
+	}
+
+	// concurrent first readers share one memoized block and count once
+	ctr = &Counters{}
+	co = NewCompressedMatrixObject(cm, nil, ctr)
+	blocks := make([]*matrix.MatrixBlock, 8)
+	var wg sync.WaitGroup
+	for i := range blocks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			blk, err := co.LocalBlock("concurrent")
+			if err != nil {
+				t.Error(err)
+			}
+			blocks[i] = blk
+		}()
+	}
+	wg.Wait()
+	for _, blk := range blocks[1:] {
+		if blk != blocks[0] {
+			t.Fatal("concurrent readers got different blocks")
+		}
+	}
+	if got := ctr.CompressStats().Decompressions; got != 1 {
+		t.Errorf("concurrent decompressions = %d, want 1", got)
+	}
+}
+
+// TestCorruptCompressedSpillIsAnError asserts a damaged compressed spill
+// file surfaces as an error on restore instead of crashing the process: a
+// group header with a negative dictionary length, and a well-formed file of
+// the wrong shape.
+func TestCorruptCompressedSpillIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	_, cm := compressedFixture(t)
+	negativeDict := []byte{
+		0x43, 0x53, 0x44, 0x53, // magic
+		4, 0, 0, 0, 0, 0, 0, 0, // rows
+		1, 0, 0, 0, 0, 0, 0, 0, // cols
+		1, 0, 0, 0, // groups
+		0,          // DDC
+		0, 0, 0, 0, // column
+		0xfb, 0xff, 0xff, 0xff, // dictionary length -5
+	}
+	for name, corrupt := range map[string]func(path string) error{
+		"negative dictionary length": func(path string) error { return os.WriteFile(path, negativeDict, 0o644) },
+		"wrong shape":                func(path string) error { return cm.SliceRows(0, 10).WriteFile(path) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			co := NewCompressedMatrixObject(cm, bufferpool.New(0, dir), &Counters{})
+			path := filepath.Join(dir, "spill.sdsc")
+			if err := co.Evict(path); err != nil {
+				t.Fatal(err)
+			}
+			if err := corrupt(path); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := co.LocalBlock("test"); err == nil {
+				t.Fatal("restore from a corrupt spill returned no error")
+			}
+		})
 	}
 }

@@ -128,18 +128,12 @@ type Context struct {
 	mu   sync.RWMutex
 	vars map[string]Data
 
-	// dist holds the distributed-backend counters, shared across child
-	// contexts (partition/collect/blocked-op accounting for one execution).
-	dist *distCounters
-	// fused holds the fused-operator hit counters, shared across child
-	// contexts.
-	fused *fusedCounters
+	// Counters holds the per-run dist, fused and compressed counters, shared
+	// across child contexts.
+	Counters *Counters
 	// plans records the executed physical-plan decisions, shared across child
 	// contexts.
 	plans *planRecorder
-	// compressed holds the compressed-linear-algebra counters, shared across
-	// child contexts.
-	compressed *compressCounters
 }
 
 // NewContext creates a root execution context.
@@ -148,15 +142,13 @@ func NewContext(cfg *Config) *Context {
 		cfg = DefaultConfig()
 	}
 	ctx := &Context{
-		Config:     cfg,
-		Lineage:    lineage.NewTracer(),
-		Pool:       bufferpool.New(cfg.BufferPoolBudget, cfg.TempDir),
-		Out:        os.Stdout,
-		vars:       map[string]Data{},
-		dist:       &distCounters{},
-		fused:      &fusedCounters{},
-		plans:      &planRecorder{},
-		compressed: &compressCounters{},
+		Config:   cfg,
+		Lineage:  lineage.NewTracer(),
+		Pool:     bufferpool.New(cfg.BufferPoolBudget, cfg.TempDir),
+		Out:      os.Stdout,
+		vars:     map[string]Data{},
+		Counters: &Counters{},
+		plans:    &planRecorder{},
 	}
 	if cfg.ReuseEnabled || cfg.PersistentLineageDir != "" {
 		ctx.Cache = lineage.NewCache(cfg.CacheBudget)
@@ -170,17 +162,15 @@ func NewContext(cfg *Config) *Context {
 // scopes); configuration, cache, pool, program and output are shared.
 func (ctx *Context) ChildEmpty() *Context {
 	return &Context{
-		Config:     ctx.Config,
-		Lineage:    lineage.NewTracer(),
-		Cache:      ctx.Cache,
-		Pool:       ctx.Pool,
-		Prog:       ctx.Prog,
-		Out:        ctx.Out,
-		vars:       map[string]Data{},
-		dist:       ctx.dist,
-		fused:      ctx.fused,
-		plans:      ctx.plans,
-		compressed: ctx.compressed,
+		Config:   ctx.Config,
+		Lineage:  lineage.NewTracer(),
+		Cache:    ctx.Cache,
+		Pool:     ctx.Pool,
+		Prog:     ctx.Prog,
+		Out:      ctx.Out,
+		vars:     map[string]Data{},
+		Counters: ctx.Counters,
+		plans:    ctx.plans,
 	}
 }
 
@@ -194,42 +184,15 @@ func (ctx *Context) ChildCopy() *Context {
 	}
 	ctx.mu.RUnlock()
 	return &Context{
-		Config:     ctx.Config,
-		Lineage:    ctx.Lineage.Copy(),
-		Cache:      ctx.Cache,
-		Pool:       ctx.Pool,
-		Prog:       ctx.Prog,
-		Out:        ctx.Out,
-		vars:       vars,
-		dist:       ctx.dist,
-		fused:      ctx.fused,
-		plans:      ctx.plans,
-		compressed: ctx.compressed,
-	}
-}
-
-// DistStats returns a snapshot of the distributed-backend counters.
-func (ctx *Context) DistStats() DistStats { return ctx.dist.snapshot() }
-
-// CountDistPartition records a local-to-blocked repartition.
-func (ctx *Context) CountDistPartition() {
-	if ctx.dist != nil {
-		ctx.dist.partitions.Add(1)
-	}
-}
-
-// CountDistCollect records an eager blocked-to-local collect performed
-// outside a BlockedMatrixObject (lazy collects count themselves).
-func (ctx *Context) CountDistCollect() {
-	if ctx.dist != nil {
-		ctx.dist.collects.Add(1)
-	}
-}
-
-// CountBlockedOp records one operator executed on the blocked backend.
-func (ctx *Context) CountBlockedOp() {
-	if ctx.dist != nil {
-		ctx.dist.blockedOps.Add(1)
+		Config:   ctx.Config,
+		Lineage:  ctx.Lineage.Copy(),
+		Cache:    ctx.Cache,
+		Pool:     ctx.Pool,
+		Prog:     ctx.Prog,
+		Out:      ctx.Out,
+		vars:     vars,
+		Counters: ctx.Counters,
+		plans:    ctx.plans,
 	}
 }
 
@@ -242,52 +205,6 @@ func (ctx *Context) PlanStats() ([]PlanRecord, int64) { return ctx.plans.snapsho
 // string, compiler-estimated vs actual output bytes).
 func (ctx *Context) RecordPlan(op, plan string, estBytes, actualBytes int64) {
 	ctx.plans.add(PlanRecord{Op: op, Plan: plan, EstBytes: estBytes, ActualBytes: actualBytes})
-}
-
-// CompressStats returns a snapshot of the compressed-linear-algebra counters.
-func (ctx *Context) CompressStats() CompressStats { return ctx.compressed.snapshot() }
-
-// CountCompression records one accepted compression with its before/after
-// byte sizes.
-func (ctx *Context) CountCompression(uncompressedBytes, compressedBytes int64) {
-	if ctx.compressed != nil {
-		ctx.compressed.compressions.Add(1)
-		ctx.compressed.bytesUncomp.Add(uncompressedBytes)
-		ctx.compressed.bytesComp.Add(compressedBytes)
-	}
-}
-
-// CountCompressionRejected records a compression attempt the sample-based
-// planner rejected (estimated ratio below threshold).
-func (ctx *Context) CountCompressionRejected() {
-	if ctx.compressed != nil {
-		ctx.compressed.rejected.Add(1)
-	}
-}
-
-// CountCompressedOp records one operator executed directly on a compressed
-// representation.
-func (ctx *Context) CountCompressedOp() {
-	if ctx.compressed != nil {
-		ctx.compressed.compressedOps.Add(1)
-	}
-}
-
-// FusedStats returns a snapshot of the fused-operator hit counters.
-func (ctx *Context) FusedStats() FusedStats { return ctx.fused.snapshot() }
-
-// CountMMChain records one executed fused mmchain instruction.
-func (ctx *Context) CountMMChain() {
-	if ctx.fused != nil {
-		ctx.fused.mmchain.Add(1)
-	}
-}
-
-// CountFusedAgg records one executed fused cellwise-aggregate instruction.
-func (ctx *Context) CountFusedAgg() {
-	if ctx.fused != nil {
-		ctx.fused.fusedAgg.Add(1)
-	}
 }
 
 // Set binds a variable to a value.
@@ -380,31 +297,18 @@ func (ctx *Context) GetMatrixObject(name string) (*MatrixObject, error) {
 	return mo, nil
 }
 
-// GetMatrixBlock returns a variable's matrix block, acquiring it through the
-// buffer pool. Scalars are auto-promoted to 1x1 matrices, mirroring DML's
-// implicit casting in matrix contexts.
-func (ctx *Context) GetMatrixBlock(name string) (*matrix.MatrixBlock, error) {
-	return ctx.GetMatrixBlockFor(name, "other")
-}
-
-// GetMatrixBlockFor is GetMatrixBlock with the consuming opcode recorded when
-// the read forces a fallback decompression of a compressed variable.
+// GetMatrixBlockFor returns a variable's local matrix block through the
+// LocalMatrix contract; op labels a fallback decompression the read forces.
+// Scalars are auto-promoted to 1x1 matrices, mirroring DML's implicit
+// casting in matrix contexts.
 func (ctx *Context) GetMatrixBlockFor(name, op string) (*matrix.MatrixBlock, error) {
 	d, err := ctx.Get(name)
 	if err != nil {
 		return nil, err
 	}
 	switch v := d.(type) {
-	case *MatrixObject:
-		return v.Acquire()
-	case *BlockedMatrixObject:
-		// lazy collect: a CP consumer or sink actually needs the local block
-		return v.Collect()
-	case *CompressedMatrixObject:
-		// transparent decompress fallback: a consumer without a compressed
-		// kernel gets the local block; the (memoized) decompression is counted
-		// per-opcode so the fallback is observable, and nothing breaks
-		return v.DecompressFor(op)
+	case LocalMatrix:
+		return v.LocalBlock(op)
 	case *Scalar:
 		m := matrix.NewDense(1, 1)
 		m.Set(0, 0, v.Float64())
@@ -437,13 +341,13 @@ func (ctx *Context) SetMatrix(name string, block *matrix.MatrixBlock) {
 // SetBlocked wraps a blocked matrix into a first-class blocked object and
 // binds it; downstream blocked operators consume it without re-partitioning.
 func (ctx *Context) SetBlocked(name string, bm *dist.BlockedMatrix) {
-	ctx.Set(name, NewBlockedMatrixObject(bm, ctx.Pool, ctx.dist))
+	ctx.Set(name, NewBlockedMatrixObject(bm, ctx.Pool, ctx.Counters))
 }
 
 // SetCompressed wraps a compressed matrix into a first-class compressed
 // object and binds it; downstream compressed kernels consume it directly.
 func (ctx *Context) SetCompressed(name string, cm *compress.CompressedMatrix) {
-	ctx.Set(name, NewCompressedMatrixObject(cm, ctx.Pool, ctx.compressed))
+	ctx.Set(name, NewCompressedMatrixObject(cm, ctx.Pool, ctx.Counters))
 }
 
 // CleanupTemporaries removes temporary variables created by DAG lowering

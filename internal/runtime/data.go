@@ -107,6 +107,63 @@ func (s *Scalar) StringValue() string {
 // String implements Data.
 func (s *Scalar) String() string { return s.StringValue() }
 
+// LocalMatrix is the one read contract of every local matrix representation:
+// a consumer that needs the cells calls LocalBlock and never asks how the
+// value is stored. A MatrixObject acquires its block through the buffer
+// pool, a BlockedMatrixObject collects its blocks lazily, and a
+// CompressedMatrixObject decompresses transparently; the latter two memoize
+// the local block and count the materialization once. op names the consuming
+// opcode (or sink label) a fallback decompression is attributed to.
+// FederatedObject deliberately does not implement it, so federated data is
+// never pulled local by a generic read.
+type LocalMatrix interface {
+	Data
+	DataCharacteristics() types.DataCharacteristics
+	LocalBlock(op string) (*matrix.MatrixBlock, error)
+}
+
+var (
+	_ LocalMatrix = (*MatrixObject)(nil)
+	_ LocalMatrix = (*BlockedMatrixObject)(nil)
+	_ LocalMatrix = (*CompressedMatrixObject)(nil)
+	// compiles only while *FederatedObject has no LocalBlock method of its
+	// own: one would collide with noLocalBlock's at the same depth, and the
+	// ambiguous selector would leave federatedNotLocal without LocalBlock
+	_ LocalMatrix = federatedNotLocal{}
+)
+
+type federatedNotLocal struct {
+	*FederatedObject
+	noLocalBlock
+}
+
+type noLocalBlock struct{}
+
+func (noLocalBlock) LocalBlock(string) (*matrix.MatrixBlock, error) { return nil, nil }
+
+// memoLocal returns the local block memoized in *slot (guarded by mu),
+// building it on first use. Concurrent first readers may each build, but one
+// result is kept for all and only the reader that stored it gets won, so a
+// collect or decompression is counted once per materialization.
+func memoLocal(mu *sync.Mutex, slot **matrix.MatrixBlock, build func() (*matrix.MatrixBlock, error)) (blk *matrix.MatrixBlock, won bool, err error) {
+	mu.Lock()
+	blk = *slot
+	mu.Unlock()
+	if blk != nil {
+		return blk, false, nil
+	}
+	if blk, err = build(); err != nil {
+		return nil, false, err
+	}
+	mu.Lock()
+	if won = *slot == nil; won {
+		*slot = blk
+	}
+	blk = *slot
+	mu.Unlock()
+	return blk, won, nil
+}
+
 // MatrixObject is the buffer-pool-backed handle of a matrix: it carries the
 // data characteristics and either holds the block in memory or a reference to
 // its spill file.
@@ -181,6 +238,9 @@ func (m *MatrixObject) Acquire() (*matrix.MatrixBlock, error) {
 	}
 	return blk, nil
 }
+
+// LocalBlock implements LocalMatrix by acquiring the block.
+func (m *MatrixObject) LocalBlock(string) (*matrix.MatrixBlock, error) { return m.Acquire() }
 
 // PoolID implements bufferpool.Entry.
 func (m *MatrixObject) PoolID() int64 { return m.id }

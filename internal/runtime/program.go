@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/systemds/systemds-go/internal/lineage"
-	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/obs"
 )
 
@@ -255,25 +254,10 @@ func (b *IfBlock) Execute(ctx *Context) error {
 	if err := b.Predicate.Execute(ctx); err != nil {
 		return err
 	}
-	pred, err := ctx.Get(b.PredVar)
+	cond, err := predicate(ctx, b.PredVar)
 	if err != nil {
 		return err
 	}
-	cond := false
-	switch v := pred.(type) {
-	case *Scalar:
-		cond = v.Bool()
-	case *MatrixObject:
-		blk, err := v.Acquire()
-		if err != nil {
-			return err
-		}
-		cond = blk.Get(0, 0) != 0
-	default:
-		return fmt.Errorf("runtime: if predicate %q has unsupported type %s", b.PredVar, pred.DataType())
-	}
-	ctx.Remove(b.PredVar)
-	ctx.CleanupTemporaries(TempPrefix)
 	branch := b.Then
 	if !cond {
 		branch = b.Else
@@ -284,6 +268,35 @@ func (b *IfBlock) Execute(ctx *Context) error {
 		}
 	}
 	return nil
+}
+
+// predicate reads the value of an if or while predicate — a scalar, or a 1x1
+// matrix in any local representation — and then unbinds the predicate
+// variable and the predicate block's temporaries.
+func predicate(ctx *Context, name string) (bool, error) {
+	d, err := ctx.Get(name)
+	if err != nil {
+		return false, err
+	}
+	var cond bool
+	switch v := d.(type) {
+	case *Scalar:
+		cond = v.Bool()
+	case LocalMatrix:
+		if dc := v.DataCharacteristics(); dc.Rows != 1 || dc.Cols != 1 {
+			return false, fmt.Errorf("runtime: predicate %q is a %dx%d matrix, expected a scalar or a 1x1 matrix", name, dc.Rows, dc.Cols)
+		}
+		blk, err := v.LocalBlock("predicate")
+		if err != nil {
+			return false, err
+		}
+		cond = blk.Get(0, 0) != 0
+	default:
+		return false, fmt.Errorf("runtime: predicate %q is a %s, expected a scalar or a 1x1 local matrix", name, d.DataType())
+	}
+	ctx.Remove(name)
+	ctx.CleanupTemporaries(TempPrefix)
+	return cond, nil
 }
 
 // WhileBlock repeatedly executes its body while the predicate evaluates to
@@ -303,13 +316,11 @@ func (b *WhileBlock) Execute(ctx *Context) error {
 		if err := b.Predicate.Execute(ctx); err != nil {
 			return err
 		}
-		pred, err := ctx.GetScalar(b.PredVar)
+		cond, err := predicate(ctx, b.PredVar)
 		if err != nil {
 			return err
 		}
-		ctx.Remove(b.PredVar)
-		ctx.CleanupTemporaries(TempPrefix)
-		if !pred.Bool() {
+		if !cond {
 			return nil
 		}
 		for _, blk := range b.Body {
@@ -371,8 +382,8 @@ func (b *ForBlock) iterationValues(ctx *Context) ([]float64, error) {
 	switch v := d.(type) {
 	case *Scalar:
 		return []float64{v.Float64()}, nil
-	case *MatrixObject:
-		blk, err := v.Acquire()
+	case LocalMatrix:
+		blk, err := v.LocalBlock("for")
 		if err != nil {
 			return nil, err
 		}
@@ -457,24 +468,6 @@ func (b *ForBlock) executeParallel(ctx *Context, values []float64) error {
 
 var parforMergeCounter int64
 
-// localMatrixOf returns the local block behind a matrix-typed runtime value,
-// acquiring through the buffer pool or collecting a blocked matrix; the bool
-// reports whether the value was matrix-backed at all.
-func localMatrixOf(d Data) (*matrix.MatrixBlock, bool, error) {
-	switch v := d.(type) {
-	case *MatrixObject:
-		blk, err := v.Acquire()
-		return blk, true, err
-	case *BlockedMatrixObject:
-		blk, err := v.Collect()
-		return blk, true, err
-	case *CompressedMatrixObject:
-		blk, err := v.DecompressFor("parfor-merge")
-		return blk, true, err
-	}
-	return nil, false, nil
-}
-
 // workerResult holds the result-variable bindings produced by one parfor
 // worker together with the highest iteration index it executed.
 type workerResult struct {
@@ -488,11 +481,11 @@ type workerResult struct {
 // for everything else the value of the worker that ran the highest iteration
 // wins (last-iteration semantics).
 func mergeResults(ctx *Context, name string, original Data, sources []workerResult) (Data, error) {
-	origBlock, isMat, err := localMatrixOf(original)
-	if err != nil {
-		return nil, err
-	}
-	if isMat {
+	if orig, isMat := original.(LocalMatrix); isMat {
+		origBlock, err := orig.LocalBlock("parfor-merge")
+		if err != nil {
+			return nil, err
+		}
 		merged := origBlock.Copy()
 		changed := false
 		for _, src := range sources {
@@ -500,12 +493,13 @@ func mergeResults(ctx *Context, name string, original Data, sources []workerResu
 			if !ok || d == original {
 				continue
 			}
-			blk, isM, err := localMatrixOf(d)
-			if err != nil {
-				return nil, err
-			}
+			lm, isM := d.(LocalMatrix)
 			if !isM {
 				continue
+			}
+			blk, err := lm.LocalBlock("parfor-merge")
+			if err != nil {
+				return nil, err
 			}
 			if blk.Rows() != origBlock.Rows() || blk.Cols() != origBlock.Cols() {
 				// dimension change: last iteration wins

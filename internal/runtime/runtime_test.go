@@ -2,9 +2,12 @@ package runtime
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"github.com/systemds/systemds-go/internal/dist"
+	"github.com/systemds/systemds-go/internal/fed"
 	"github.com/systemds/systemds-go/internal/lineage"
 	"github.com/systemds/systemds-go/internal/matrix"
 	"github.com/systemds/systemds-go/internal/types"
@@ -83,8 +86,12 @@ func TestContextSymbolTable(t *testing.T) {
 	if _, err := ctx.GetMatrixObject("a"); err == nil {
 		t.Error("expected type error")
 	}
-	if _, err := ctx.GetMatrixBlock("a"); err != nil {
+	if _, err := ctx.GetMatrixBlockFor("a", "test"); err != nil {
 		t.Error("scalars should promote to 1x1 matrices")
+	}
+	ctx.Set("F", NewFederatedObject(&fed.FederatedMatrix{Rows: 2, Cols: 2}))
+	if _, err := ctx.GetMatrixBlockFor("F", "test"); err == nil || !strings.Contains(err.Error(), "federated") {
+		t.Errorf("local read of a federated variable = %v, want a federated error", err)
 	}
 	if _, err := ctx.Get("zz"); err == nil {
 		t.Error("expected missing variable error")
@@ -149,7 +156,7 @@ func TestExecuteInstructionLineageAndReuse(t *testing.T) {
 	inst := &fakeInst{
 		opcode: "expensive", inputs: []string{"X"}, outputs: []string{"G"},
 		execute: func(ctx *Context) error {
-			blk, err := ctx.GetMatrixBlock("X")
+			blk, err := ctx.GetMatrixBlockFor("X", "test")
 			if err != nil {
 				return err
 			}
@@ -354,7 +361,7 @@ func TestParForMergeMatrixResults(t *testing.T) {
 	body := &BasicBlock{Instructions: []Instruction{
 		&fakeInst{opcode: "set", inputs: []string{"R", "i"}, outputs: []string{"R"}, execute: func(c *Context) error {
 			i, _ := c.GetScalar("i")
-			blk, err := c.GetMatrixBlock("R")
+			blk, err := c.GetMatrixBlockFor("R", "test")
 			if err != nil {
 				return err
 			}
@@ -369,7 +376,7 @@ func TestParForMergeMatrixResults(t *testing.T) {
 	if err := pf.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
-	blk, _ := ctx.GetMatrixBlock("R")
+	blk, _ := ctx.GetMatrixBlockFor("R", "test")
 	for i := 0; i < 6; i++ {
 		want := float64((i + 1) * (i + 1))
 		if blk.Get(0, i) != want {
@@ -472,5 +479,69 @@ func TestListObjectAndSizeOf(t *testing.T) {
 	}
 	if SizeOf(lo) <= 0 {
 		t.Error("list size estimate wrong")
+	}
+}
+
+// TestPredicateAcceptsOneByOneMatrix asserts if and while share one
+// predicate rule: a scalar or a 1x1 matrix in any local representation is
+// accepted, anything else is an error naming the type or shape.
+func TestPredicateAcceptsOneByOneMatrix(t *testing.T) {
+	ctx := NewContext(DefaultConfig())
+	ctx.Set("n", NewDouble(3))
+	// while (n > 0) with the comparison bound as a 1x1 matrix, as X[1,1] > i
+	// compiles to
+	pred := &BasicBlock{Instructions: []Instruction{
+		&fakeInst{opcode: ">", inputs: []string{"n"}, outputs: []string{"_w"}, execute: func(c *Context) error {
+			n, _ := c.GetScalar("n")
+			gt := 0.0
+			if n.Float64() > 0 {
+				gt = 1
+			}
+			c.SetMatrix("_w", matrix.NewDenseFromSlice(1, 1, []float64{gt}))
+			return nil
+		}},
+	}}
+	dec := &BasicBlock{Instructions: []Instruction{
+		&fakeInst{opcode: "-", inputs: []string{"n"}, outputs: []string{"n"}, execute: func(c *Context) error {
+			n, _ := c.GetScalar("n")
+			c.Set("n", NewDouble(n.Float64()-1))
+			return nil
+		}},
+	}}
+	if err := (&WhileBlock{Predicate: pred, PredVar: "_w", Body: []ProgramBlock{dec}}).Execute(ctx); err != nil {
+		t.Fatalf("while over a 1x1 matrix predicate: %v", err)
+	}
+	if v, _ := ctx.GetScalar("n"); v.Float64() != 0 {
+		t.Errorf("while end value = %v, want 0", v)
+	}
+
+	bind := func(name string, d Data) *BasicBlock {
+		return &BasicBlock{Instructions: []Instruction{
+			&fakeInst{opcode: "p", outputs: []string{name}, execute: func(c *Context) error {
+				c.Set(name, d)
+				return nil
+			}},
+		}}
+	}
+	one, err := dist.FromMatrixBlock(matrix.NewDenseFromSlice(1, 1, []float64{1}), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ifb := &IfBlock{Predicate: bind("_p", NewBlockedMatrixObject(one, ctx.Pool, ctx.Counters)), PredVar: "_p",
+		Then: []ProgramBlock{bind("branch", NewDouble(1))}, Else: []ProgramBlock{bind("branch", NewDouble(2))}}
+	if err := ifb.Execute(ctx); err != nil {
+		t.Fatalf("if over a blocked 1x1 predicate: %v", err)
+	}
+	if v, _ := ctx.GetScalar("branch"); v.Float64() != 1 {
+		t.Errorf("if over a blocked 1x1 true predicate took branch %v", v)
+	}
+
+	wide := &IfBlock{Predicate: bind("_q", NewMatrixObject(matrix.NewDense(2, 2), ctx.Pool)), PredVar: "_q"}
+	if err := wide.Execute(ctx); err == nil || !strings.Contains(err.Error(), "2x2") {
+		t.Errorf("2x2 predicate error = %v, want one naming the shape", err)
+	}
+	list := &WhileBlock{Predicate: bind("_r", NewListObject(nil, nil)), PredVar: "_r"}
+	if err := list.Execute(ctx); err == nil || !strings.Contains(err.Error(), "LIST") {
+		t.Errorf("list predicate error = %v, want one naming the type", err)
 	}
 }

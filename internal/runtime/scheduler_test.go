@@ -264,7 +264,7 @@ func TestSchedulerLineageAndReuseConcurrent(t *testing.T) {
 		instrs = append(instrs, &fakeInst{opcode: "scale", inputs: []string{"X"},
 			outputs: []string{out}, data: fmt.Sprintf("%g", scale),
 			execute: func(c *Context) error {
-				blk, err := c.GetMatrixBlock("X")
+				blk, err := c.GetMatrixBlockFor("X", "test")
 				if err != nil {
 					return err
 				}
@@ -278,7 +278,7 @@ func TestSchedulerLineageAndReuseConcurrent(t *testing.T) {
 	}
 	first := map[string]*matrix.MatrixBlock{}
 	for k := 0; k < 6; k++ {
-		blk, err := ctx.GetMatrixBlock(fmt.Sprintf("g%d", k))
+		blk, err := ctx.GetMatrixBlockFor(fmt.Sprintf("g%d", k), "test")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestSchedulerLineageAndReuseConcurrent(t *testing.T) {
 		t.Errorf("expected 6 cache hits on re-execution, got %d", got)
 	}
 	for name, want := range first {
-		blk, err := ctx.GetMatrixBlock(name)
+		blk, err := ctx.GetMatrixBlockFor(name, "test")
 		if err != nil {
 			t.Fatal(err)
 		}
