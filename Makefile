@@ -25,13 +25,13 @@ test:
 # lineage included — nothing is skipped), followed by the compressed
 # lm-loop determinism gate run twice in one process (-count=2 compares
 # fingerprints across invocations via package state), and a bench smoke that
-# drives the tiled GEMM engine's multi-threaded row-panel workers plus the
-# deep compressed kernels (TSMM, matrix right-hand side, partitioned dist MV)
-# under the race detector.
+# drives the tiled GEMM engine's multi-threaded row-panel workers, the
+# matrix-vector and vector-matrix kernels, plus the deep compressed kernels
+# (TSMM, matrix right-hand side, partitioned dist MV) under the race detector.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -run TestCompressedLmLoopDeterminism -count=2 ./internal/core/
-	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|CompressedTSMM$$|CompressedMMDense$$|CompressedDistMV' -benchtime=1x -run '^$$' .
+	$(GO) test -race -bench 'KernelGEMMTiled512|KernelMultiplyAccTiled|KernelMatVec|KernelVecMat|CompressedTSMM$$|CompressedMMDense$$|CompressedDistMV' -benchtime=1x -run '^$$' .
 
 # Observability acceptance gate: run the traced lm-loop scenario end to end
 # (distributed backend forced by a small memory budget, compression site
@@ -46,15 +46,18 @@ trace-check:
 
 # Compressed-vs-dense MV/TSMM/matrix-RHS kernels (plus the partitioned dist
 # executor), planner-vs-forced matmult strategies, fused-vs-unfused,
-# kernel-parallelism and tiled-vs-simple GEMM/TSMM/MultiplyAcc benchmarks with
-# allocation stats, plus the adaptive-runtime pairs (cold-vs-warm cross-run
-# lineage reuse, uncalibrated-vs-calibrated planning); the parsed results land
-# in BENCH_pr9.json (the perf trajectory of the repo). The compressed and
-# lineage benchmarks additionally report databytes/op (bytes of matrix
-# representation streamed or spilled per operation) and the dense kernel
-# benchmarks report gflops.
+# kernel-parallelism, tiled-vs-simple GEMM/TSMM/MultiplyAcc and the
+# matrix-vector/vector-matrix benchmarks with allocation stats, plus the
+# adaptive-runtime pairs (cold-vs-warm cross-run lineage reuse,
+# uncalibrated-vs-calibrated planning); the parsed results land in $(BENCH_OUT)
+# (e.g. `make bench BENCH_OUT=BENCH_new.json`). The compressed and lineage
+# benchmarks additionally report databytes/op (bytes of matrix representation
+# streamed or spilled per operation), the dense kernel benchmarks report
+# gflops and the vector kernels gb/s.
+BENCH_OUT ?= BENCH.json
+
 bench:
-	set -o pipefail; $(GO) test -bench 'Compressed|LoopEpoch|MatMultStrategy|Fused|Unfused|MMChain|KernelParallel|KernelGEMM|KernelTSMM|KernelMultiplyAcc|LineageReuse|CalibrationDelta' -benchmem -timeout 30m -run '^$$' . | $(GO) run ./cmd/benchjson -out BENCH_pr9.json
+	set -o pipefail; $(GO) test -bench 'Compressed|LoopEpoch|MatMultStrategy|Fused|Unfused|MMChain|KernelParallel|KernelGEMM|KernelTSMM|KernelMultiplyAcc|KernelMatVec|KernelVecMat|LineageReuse|CalibrationDelta' -benchmem -timeout 30m -run '^$$' . | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
 # Full benchmark sweep (single iteration per benchmark).
 bench-all:

@@ -341,6 +341,47 @@ func BenchmarkKernelTSMMSparse(b *testing.B) {
 	}
 }
 
+// benchVectorKernel times the lm gradient loop's two product shapes against a
+// 20000 x 200 X — X %*% v (mat-vec) or u %*% X (vec-mat, what t(X) %*% r
+// becomes after the left-transpose rewrite) — for dense X, dense X on the
+// forced simple kernel (the generic loop the vector kernels replace), and a
+// 10%-dense sparse X. Dense runs report the X bytes streamed per second.
+func benchVectorKernel(b *testing.B, matVec bool) {
+	const rows, cols = 20000, 200
+	for _, tc := range []struct {
+		name     string
+		sparsity float64
+		kern     matrix.GEMMKernel
+	}{
+		{"dense", 1.0, matrix.GEMMAuto},
+		{"dense-simple", 1.0, matrix.GEMMSimple},
+		{"sparse10", 0.1, matrix.GEMMAuto},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			prev := matrix.SetGEMMKernel(tc.kern)
+			defer matrix.SetGEMMKernel(prev)
+			x := matrix.RandUniform(rows, cols, -1, 1, tc.sparsity, 9)
+			left, right := x, matrix.RandUniform(cols, 1, -1, 1, 1.0, 10)
+			if !matVec {
+				left, right = matrix.RandUniform(1, rows, -1, 1, 1.0, 11), x
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := matrix.Multiply(left, right, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !x.IsSparse() {
+				b.ReportMetric(float64(rows*cols*8)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gb/s")
+			}
+		})
+	}
+}
+
+func BenchmarkKernelMatVec(b *testing.B) { benchVectorKernel(b, true) }
+
+func BenchmarkKernelVecMat(b *testing.B) { benchVectorKernel(b, false) }
+
 func BenchmarkCSVParse(b *testing.B) {
 	dir := b.TempDir()
 	xPath, _, err := experiments.PrepareWorkloadFiles(dir, benchScale.Rows, benchScale.Cols, 1.0, 9)

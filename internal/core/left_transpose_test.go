@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -86,5 +87,63 @@ for (i in 1:5) {
 	}
 	if re := relErr(comp["acc"].(float64), plain["acc"].(float64)); re > 1e-9 {
 		t.Errorf("acc differs: %v vs %v (rel err %g)", comp["acc"], plain["acc"], re)
+	}
+}
+
+// TestExplainTagsVectorKernels: in one lm gradient step, X %*% w runs on the
+// matrix-vector kernel and t(X) %*% (q - y), planned as t(t(q - y) %*% X),
+// on the vector-matrix kernel — and EXPLAIN names both with the predicate
+// the runtime dispatches on, not by FLOPs alone (X %*% w is above the tiled
+// crossover).
+func TestExplainTagsVectorKernels(t *testing.T) {
+	cfg := runtime.DefaultConfig()
+	cfg.FusionDisabled = true // keep the two products as separate operators
+	x := matrix.RandUniform(20000, 200, 0, 5, 1.0, 151)
+	y := matrix.RandUniform(20000, 1, -1, 1, 1.0, 152)
+	w := matrix.RandUniform(200, 1, -1, 1, 1.0, 153)
+	step := `q = X %*% w
+g = t(X) %*% (q - y)
+w2 = w - 0.0000001 * g`
+	explain, err := NewEngine(cfg).ExplainPlan(step, map[string]any{"X": x, "y": y, "w": w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 2*20000*200 < matrix.TiledGEMMCrossoverFLOPs {
+		t.Fatal("X %*% w no longer exceeds the tiled crossover")
+	}
+	for _, tag := range []string{"kernel=mv", "kernel=vm"} {
+		if !strings.Contains(explain, tag) {
+			t.Errorf("EXPLAIN misses %s:\n%s", tag, explain)
+		}
+	}
+	if strings.Contains(explain, "kernel=tiled") {
+		t.Errorf("EXPLAIN tags a vector product as tiled:\n%s", explain)
+	}
+}
+
+// TestLmTraceVectorKernelsBitwise runs scripts/lm_trace.dml end to end on the
+// vector kernels (at 1 and 3 threads) and on the forced simple GEMM loop:
+// s must agree bit for bit.
+func TestLmTraceVectorKernelsBitwise(t *testing.T) {
+	src, err := os.ReadFile("../../scripts/lm_trace.dml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(kern matrix.GEMMKernel, threads int) float64 {
+		prev := matrix.SetGEMMKernel(kern)
+		defer matrix.SetGEMMKernel(prev)
+		cfg := runtime.DefaultConfig()
+		cfg.Parallelism = threads
+		res, _, err := NewEngine(cfg).Execute(string(src), nil, []string{"s"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res["s"].(float64)
+	}
+	want := run(matrix.GEMMSimple, 1)
+	for _, threads := range []int{1, 3} {
+		if got := run(matrix.GEMMAuto, threads); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("threads=%d: s = %v on the vector kernels, %v on the simple kernel", threads, got, want)
+		}
 	}
 }

@@ -730,8 +730,10 @@ func (d *DAG) ExplainPlanWith(annotate func(*Hop) string) string {
 		// path: operators over compressed operands run the CLA kernels (Gram
 		// matrices and matrix right-hand sides straight off the dictionaries)
 		// — chosen by representation, so the tag prints even when sizes are
-		// unknown; dense matmult-family operators above the runtime's shared
-		// crossover run the tiled register-blocked kernel
+		// unknown; matmult-family operators with known sizes whose operands
+		// are estimated dense print the class the runtime's own dense
+		// dispatch predicate picks for the shape (a sparse estimate runs the
+		// CSR kernels, which have no class, so it prints no tag)
 		switch {
 		case h.Kind == KindTSMM && hasCompressedInput(h):
 			sb.WriteString(" kernel=ctsmm")
@@ -743,9 +745,15 @@ func (d *DAG) ExplainPlanWith(annotate func(*Hop) string) string {
 				kernel = "cvm" // u %*% X, also t(X) %*% v after the left-transpose rewrite
 			}
 			sb.WriteString(" kernel=" + kernel)
-		case (h.Kind == KindMatMult || h.Kind == KindTSMM) && h.CostEst.Known &&
-			h.CostEst.Compute >= matrix.TiledGEMMCrossoverFLOPs:
-			sb.WriteString(" kernel=tiled")
+		case h.Kind == KindMatMult && len(h.Inputs) == 2:
+			a, b := h.Inputs[0].DC, h.Inputs[1].DC
+			if a.DimsKnown() && b.Cols >= 0 && denseEstimate(a) && denseEstimate(b) {
+				sb.WriteString(" kernel=" + matrix.MatMultKernel(int(a.Rows), int(a.Cols), int(b.Cols)))
+			}
+		case h.Kind == KindTSMM && len(h.Inputs) == 1:
+			if in := h.Inputs[0].DC; in.DimsKnown() && denseEstimate(in) {
+				sb.WriteString(" kernel=" + matrix.TSMMKernel(int(in.Rows), int(in.Cols)))
+			}
 		}
 		if annotate != nil {
 			if a := annotate(h); a != "" {
@@ -755,4 +763,11 @@ func (d *DAG) ExplainPlanWith(annotate func(*Hop) string) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
+}
+
+// denseEstimate reports whether an operand is expected in dense format: its
+// sparsity is at least the runtime's SparseThreshold, or unknown (Sparsity
+// then reads 1, the dense default the memory estimates use as well).
+func denseEstimate(dc types.DataCharacteristics) bool {
+	return dc.Sparsity() >= types.SparseThreshold
 }

@@ -119,6 +119,50 @@ func TestPlanAnnotatesMatMult(t *testing.T) {
 	}
 }
 
+// TestExplainKernelTagFollowsSparsity: the dense kernel class prints only for
+// operands estimated dense (known sparsity at or above SparseThreshold, or
+// unknown); a sparse estimate runs the CSR kernels and prints no tag.
+func TestExplainKernelTagFollowsSparsity(t *testing.T) {
+	withNNZ := func(rows, cols int64, sparsity float64) types.DataCharacteristics {
+		return types.NewDataCharacteristics(rows, cols, types.DefaultBlocksize, int64(float64(rows*cols)*sparsity))
+	}
+	for _, tc := range []struct {
+		name string
+		a, b types.DataCharacteristics
+		want string
+	}{
+		{"X %*% v", dc(20000, 200), dc(200, 1), "kernel=mv"},
+		{"u %*% X", dc(1, 20000), dc(20000, 200), "kernel=vm"},
+		{"X(50%) %*% v", withNNZ(20000, 200, 0.5), dc(200, 1), "kernel=mv"},
+		{"X(10%) %*% v", withNNZ(20000, 200, 0.1), dc(200, 1), ""},
+		{"u %*% X(10%)", dc(1, 20000), withNNZ(20000, 200, 0.1), ""},
+		{"X(10%) %*% B", withNNZ(512, 512, 0.1), dc(512, 512), ""},
+	} {
+		d, _ := matmultDAG(tc.a, tc.b)
+		explain := d.ExplainPlan()
+		if tc.want == "" {
+			if strings.Contains(explain, "kernel=") {
+				t.Errorf("%s: sparse operand tagged with a dense kernel:\n%s", tc.name, explain)
+			}
+		} else if !strings.Contains(explain, tc.want) {
+			t.Errorf("%s: EXPLAIN misses %s:\n%s", tc.name, tc.want, explain)
+		}
+	}
+	for _, x := range []struct {
+		dc   types.DataCharacteristics
+		want bool
+	}{{dc(20000, 200), true}, {withNNZ(20000, 200, 0.1), false}} {
+		r := NewRead("X", types.Matrix)
+		tsmm := NewHop(KindTSMM, "tsmm", r)
+		tsmm.DataType = types.Matrix
+		d := &DAG{Roots: []*Hop{NewWrite("G", tsmm)}}
+		PropagateSizes(d, map[string]types.DataCharacteristics{"X": x.dc})
+		if got := strings.Contains(d.ExplainPlan(), "kernel="); got != x.want {
+			t.Errorf("TSMM over %s: kernel tag printed = %v, want %v:\n%s", x.dc, got, x.want, d.ExplainPlan())
+		}
+	}
+}
+
 // TestFusionGateMatchesPlanner asserts the fuse<->no-fuse decision flips at
 // the same budget the execution-type selection uses: an aggregate just inside
 // the budget fuses, one step below the estimate sends the pipeline to the

@@ -183,13 +183,17 @@ const (
 // fusedChunks derives the fixed chunking of a row range: the number of chunks
 // and the chunk size, both functions of rows alone.
 func fusedChunks(rows int) (num, size int) {
+	return fixedChunks(rows, fusedChunkRows, fusedMaxChunks)
+}
+
+// fixedChunks splits rows into at most maxChunks near-equal chunks of about
+// target rows; the result depends on its arguments alone, never on the
+// thread count.
+func fixedChunks(rows, target, maxChunks int) (num, size int) {
 	if rows <= 0 {
 		return 0, 0
 	}
-	num = (rows + fusedChunkRows - 1) / fusedChunkRows
-	if num > fusedMaxChunks {
-		num = fusedMaxChunks
-	}
+	num = min((rows+target-1)/target, maxChunks)
 	size = (rows + num - 1) / num
 	num = (rows + size - 1) / size
 	return num, size

@@ -51,17 +51,15 @@ const gemmPackARows = (gemmMC + gemmMR - 1) / gemmMR * gemmMR
 
 // TiledGEMMCrossoverFLOPs is the matmult size (in FLOPs, 2*m*k*n) above which
 // the dense kernels switch from the simple blocked loop to the tiled engine;
-// below it the packing overhead dominates. internal/hops/cost.go references
-// the same constant so EXPLAIN output labels the kernel class the runtime
-// will pick from one shared number.
+// below it the packing overhead dominates.
 const TiledGEMMCrossoverFLOPs = 2 * 128 * 128 * 128
 
 // GEMMKernel selects the dense GEMM kernel implementation.
 type GEMMKernel int32
 
-// Dense kernel selection modes: GEMMAuto picks the tiled engine above
-// TiledGEMMCrossoverFLOPs and the simple blocked loop below it; GEMMSimple and
-// GEMMTiled force one implementation (tests and benchmarks).
+// Dense kernel selection modes: GEMMAuto lets MatMultKernel and TSMMKernel
+// pick by shape; GEMMSimple and GEMMTiled force one implementation (tests and
+// benchmarks).
 const (
 	GEMMAuto GEMMKernel = iota
 	GEMMSimple
@@ -71,44 +69,63 @@ const (
 var gemmKernelMode atomic.Int32
 
 // SetGEMMKernel overrides the dense kernel selection and returns the previous
-// mode. The forced kernels are bitwise-interchangeable for finite inputs
-// (identical per-cell accumulation order); the knob exists so tests can pin
-// both paths against each other and benchmarks can time each kernel at any
-// size.
+// mode. All kernels are bitwise-interchangeable for finite inputs (identical
+// per-cell accumulation order); the knob exists so tests can pin every path
+// against the simple loop and benchmarks can time each kernel at any size.
 func SetGEMMKernel(k GEMMKernel) GEMMKernel {
 	return GEMMKernel(gemmKernelMode.Swap(int32(k)))
 }
 
-// gemmUseTiled decides whether an m x k %*% k x n dense multiply runs on the
-// tiled engine.
-func gemmUseTiled(m, k, n int) bool {
+// Dense kernel classes returned by MatMultKernel and TSMMKernel.
+const (
+	kernelSimple = "simple" // cache-blocked i-k-j loop (mult.go)
+	kernelTiled  = "tiled"  // packed, register-blocked engine (this file)
+	kernelMV     = "mv"     // matrix-vector row-dot (n == 1)
+	kernelVM     = "vm"     // vector-matrix row-axpy (m == 1)
+)
+
+// MatMultKernel returns the class of the dense kernel an m x k %*% k x n
+// multiply runs on when both operands are dense. It is the one predicate
+// behind the runtime dispatch (gemmAcc) and the kernel tag EXPLAIN prints
+// for dense operands, so the listing names the path that executes.
+func MatMultKernel(m, k, n int) string {
 	switch GEMMKernel(gemmKernelMode.Load()) {
 	case GEMMSimple:
-		return false
+		return kernelSimple
 	case GEMMTiled:
-		return true
+		return kernelTiled
 	}
-	if m < gemmMR || n < gemmNR {
-		// degenerate shapes (vectors, outer products) waste most of every
-		// padded tile; the simple loop streams them better
-		return false
+	switch {
+	case n == 1:
+		return kernelMV
+	case m == 1:
+		return kernelVM
+	case m < gemmMR || n < gemmNR:
+		// thin shapes waste most of every padded tile; the simple loop
+		// streams them better
+		return kernelSimple
+	case 2*float64(m)*float64(k)*float64(n) >= TiledGEMMCrossoverFLOPs:
+		return kernelTiled
 	}
-	return 2*float64(m)*float64(k)*float64(n) >= TiledGEMMCrossoverFLOPs
+	return kernelSimple
 }
 
-// tsmmUseTiled decides whether a TSMM chunk of `rows` rows over n columns
-// runs on the tiled engine (flops ~ 2*rows*n*n over the full square).
-func tsmmUseTiled(rows, n int) bool {
+// TSMMKernel returns the class of the dense kernel t(X) %*% X runs on for an
+// m x n X (flops ~ 2*m*n*n over the full square): the tiled engine above the
+// crossover, the simple triangular loop below it. Every row chunk of the
+// product runs on the same class. Like MatMultKernel it is shared by the
+// runtime and EXPLAIN.
+func TSMMKernel(m, n int) string {
 	switch GEMMKernel(gemmKernelMode.Load()) {
 	case GEMMSimple:
-		return false
+		return kernelSimple
 	case GEMMTiled:
-		return true
+		return kernelTiled
 	}
-	if n < gemmNR {
-		return false
+	if n < gemmNR || 2*float64(m)*float64(n)*float64(n) < TiledGEMMCrossoverFLOPs {
+		return kernelSimple
 	}
-	return 2*float64(rows)*float64(n)*float64(n) >= TiledGEMMCrossoverFLOPs
+	return kernelTiled
 }
 
 // --- pooled pack buffers ----------------------------------------------------

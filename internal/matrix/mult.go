@@ -20,8 +20,8 @@ func resolveThreads(threads int) int {
 
 // Multiply computes the matrix product a %*% b using the kernel matching the
 // operand representations (dense-dense, sparse-dense, dense-sparse or
-// sparse-sparse). The dense-dense kernel is the multi-threaded,
-// cache-conscious kernel referred to as the "Java-like" kernel in DESIGN.md.
+// sparse-sparse). The dense-dense kernels are the multi-threaded,
+// cache-conscious kernels referred to as the "Java-like" kernel in DESIGN.md.
 func Multiply(a, b *MatrixBlock, threads int) (*MatrixBlock, error) {
 	if a.cols != b.rows {
 		return nil, fmt.Errorf("matrix: multiply dimension mismatch %dx%d %%*%% %dx%d", a.rows, a.cols, b.rows, b.cols)
@@ -111,19 +111,103 @@ func countRowRangeNNZ(cv []float64, n, r0, r1 int) int64 {
 }
 
 // gemmAcc accumulates dense(a) %*% dense(b) into the dense accumulator with
-// the kernel matching the problem size — the tiled engine (gemm.go) above
-// TiledGEMMCrossoverFLOPs, the simple blocked loop below it — and returns the
-// recounted non-zero total. It is the single dispatch behind the standard
-// Multiply dense path and MultiplyAcc. Both kernels add each output cell's
-// contributions one at a time in ascending-k order, so they are bitwise
-// interchangeable for finite inputs and the stripe-accumulation contract
-// holds across the crossover (a stripe small enough for the simple loop
-// accumulates onto a tiled full product without any drift).
+// the kernel MatMultKernel names for the shape — the matrix-vector and
+// vector-matrix kernels for n == 1 and m == 1, the tiled engine (gemm.go)
+// above TiledGEMMCrossoverFLOPs, the simple blocked loop below it — and
+// returns the recounted non-zero total. It is the single dispatch behind the
+// standard Multiply dense path and MultiplyAcc. All kernels add each output
+// cell's contributions one at a time in ascending-k order, so they are
+// bitwise interchangeable for finite inputs and the stripe-accumulation
+// contract holds across every switch (a stripe small enough for the simple
+// loop accumulates onto a tiled full product without any drift).
 func gemmAcc(acc, a, b *MatrixBlock, threads int) int64 {
-	if gemmUseTiled(a.rows, a.cols, b.cols) {
+	switch MatMultKernel(a.rows, a.cols, b.cols) {
+	case kernelMV:
+		return accMatVec(acc, a, b, threads)
+	case kernelVM:
+		return accVecMat(acc, a, b)
+	case kernelTiled:
 		return accDenseDenseTiled(acc, a, b, threads)
 	}
 	return accDenseDense(acc, a, b, threads)
+}
+
+// accMatVec accumulates dense(a) %*% dense(v) for an m x k a and a k x 1 v:
+// one dot product per row, four rows per pass over v with one accumulator
+// per row (independent add chains share each load of v). Each accumulator
+// starts from its output cell and adds the terms in ascending k, so a
+// MultiplyAcc k-stripe continues the one-shot sum exactly. There is no a==0
+// skip: on data with scattered zeros the branch mispredicts more than the
+// multiply costs, and like the tiled engine the extra 0*v terms cannot change
+// a finite sum.
+func accMatVec(acc, a, v *MatrixBlock, threads int) int64 {
+	m, k := a.rows, a.cols
+	av, vv, cv := a.dense, v.dense[:k], acc.dense
+	if m*k < parallelMinCells {
+		threads = 1
+	}
+	var nnz atomic.Int64
+	parallelRows(m, threads, func(r0, r1 int) {
+		i := r0
+		for ; i+4 <= r1; i += 4 {
+			a0 := av[i*k : (i+1)*k][:len(vv)]
+			a1 := av[(i+1)*k : (i+2)*k][:len(vv)]
+			a2 := av[(i+2)*k : (i+3)*k][:len(vv)]
+			a3 := av[(i+3)*k : (i+4)*k][:len(vv)]
+			s0, s1, s2, s3 := cv[i], cv[i+1], cv[i+2], cv[i+3]
+			for p, x := range vv {
+				s0 += float64(a0[p] * x)
+				s1 += float64(a1[p] * x)
+				s2 += float64(a2[p] * x)
+				s3 += float64(a3[p] * x)
+			}
+			cv[i], cv[i+1], cv[i+2], cv[i+3] = s0, s1, s2, s3
+		}
+		for ; i < r1; i++ {
+			ai := av[i*k : (i+1)*k][:len(vv)]
+			s := cv[i]
+			for p, x := range vv {
+				s += float64(ai[p] * x)
+			}
+			cv[i] = s
+		}
+		nnz.Add(countRowRangeNNZ(cv, 1, r0, r1))
+	})
+	return nnz.Load()
+}
+
+// accVecMat accumulates dense(u) %*% dense(b) for a 1 x k u and a k x n b:
+// an axpy of the rows of b onto the output row, four b rows per pass
+// (c[j] = c[j] + u0*b0[j] + u1*b1[j] + ..., added one term at a time), so
+// every output cell sees its terms in ascending k from its own start value.
+// It runs on one thread: at the output widths the gradient loops produce (a
+// few hundred columns) a column split buys no wall time and costs CPU.
+func accVecMat(acc, u, b *MatrixBlock) int64 {
+	k, n := u.cols, b.cols
+	uv, bv, c := u.dense[:k], b.dense, acc.dense[:n]
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		x0, x1, x2, x3 := uv[p], uv[p+1], uv[p+2], uv[p+3]
+		b0 := bv[p*n : (p+1)*n][:len(c)]
+		b1 := bv[(p+1)*n : (p+2)*n][:len(c)]
+		b2 := bv[(p+2)*n : (p+3)*n][:len(c)]
+		b3 := bv[(p+3)*n : (p+4)*n][:len(c)]
+		for j, s := range c {
+			s += float64(x0 * b0[j])
+			s += float64(x1 * b1[j])
+			s += float64(x2 * b2[j])
+			s += float64(x3 * b3[j])
+			c[j] = s
+		}
+	}
+	for ; p < k; p++ {
+		x := uv[p]
+		bp := bv[p*n : (p+1)*n][:len(c)]
+		for j := range c {
+			c[j] += float64(x * bp[j])
+		}
+	}
+	return countRowRangeNNZ(c, 1, 0, n)
 }
 
 // accDenseDense accumulates dense(a) %*% dense(b) into the dense accumulator
@@ -290,42 +374,55 @@ func TSMM(x *MatrixBlock, threads int) *MatrixBlock {
 	return out
 }
 
-// tsmmChunked is TSMM's row-parallel loop: each of tsmmChunks' row chunks
-// accumulates into a private zeroed n x n buffer on its own goroutine, and
-// the buffers are summed into out in chunk order.
-func tsmmChunked(out *MatrixBlock, m, threads int, chunkFn func(buf []float64, r0, r1 int)) {
-	n := out.cols
-	numChunks, chunk := tsmmChunks(m, threads)
-	partials := make([]*gemmBuf, numChunks)
-	var wg sync.WaitGroup
-	for t := 0; t*chunk < m; t++ {
-		r0, r1 := t*chunk, min((t+1)*chunk, m)
-		wg.Add(1)
-		go func(t, r0, r1 int) {
-			defer wg.Done()
-			buf := gemmZeroBuf(n * n)
-			chunkFn(buf.f, r0, r1)
-			partials[t] = buf
-		}(t, r0, r1)
-	}
-	wg.Wait()
-	cv := out.dense
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
-		for i := range cv {
-			cv[i] += p.f[i]
-		}
-		gemmPutBuf(p)
-	}
-}
+// TSMM's fixed row chunking: about tsmmChunkRows rows per chunk, at most
+// tsmmMaxChunks chunks.
+const (
+	tsmmChunkRows = 1024
+	tsmmMaxChunks = 64
+)
 
 // tsmmChunks is TSMM's row partitioning: the number of row chunks and the
-// rows per chunk.
-func tsmmChunks(m, threads int) (numChunks, chunk int) {
-	numChunks = min(threads, max(1, m))
-	return numChunks, (m + numChunks - 1) / numChunks
+// rows per chunk, functions of the row count alone so the per-cell sum order
+// (chunk partials added in chunk order) is the same for every thread count.
+func tsmmChunks(m int) (numChunks, chunk int) {
+	return fixedChunks(m, tsmmChunkRows, tsmmMaxChunks)
+}
+
+// tsmmChunked is TSMM's row-parallel loop: nw = min(threads, chunks) workers
+// claim tsmmChunks' row chunks in ascending order, each chunk accumulates
+// into a private zeroed pooled n x n buffer, and the buffers are added onto
+// out strictly in chunk order as soon as their predecessors are in. A worker
+// does not start chunk ci until ci < next + nw (next being the first chunk
+// not yet added), so at most nw buffers are live — as many as one buffer per
+// thread — however unevenly the chunks finish.
+func tsmmChunked(out *MatrixBlock, m, threads int, chunkFn func(buf []float64, r0, r1 int)) {
+	cv := out.dense
+	num, size := tsmmChunks(m)
+	nw := chunkWorkers(num, threads, m*out.cols)
+	var mu sync.Mutex
+	added := sync.NewCond(&mu)
+	done := make([]*gemmBuf, num)
+	next := 0 // first chunk not yet added onto out
+	runChunks(m, num, size, nw, func(_, ci, r0, r1 int) {
+		mu.Lock()
+		for ci >= next+nw {
+			added.Wait()
+		}
+		mu.Unlock()
+		buf := gemmZeroBuf(len(cv))
+		chunkFn(buf.f, r0, r1)
+		mu.Lock()
+		defer mu.Unlock()
+		done[ci] = buf
+		for ; next < num && done[next] != nil; next++ {
+			for i, v := range done[next].f {
+				cv[i] += v
+			}
+			gemmPutBuf(done[next])
+			done[next] = nil
+		}
+		added.Broadcast()
+	})
 }
 
 // TSMMRows returns rows k1.. of TSMM(x, threads), i.e. t(x[,k1:]) %*% x,
@@ -340,7 +437,7 @@ func TSMMRows(x *MatrixBlock, k1, threads int) (*MatrixBlock, error) {
 	}
 	threads = resolveThreads(threads)
 	out := NewDense(n-k1, n)
-	_, chunk := tsmmChunks(m, threads)
+	_, chunk := tsmmChunks(m)
 	for r0 := 0; r0 < m; r0 += chunk {
 		r1 := min(r0+chunk, m)
 		xc, err := Slice(x, r0, r1, 0, n)
@@ -363,13 +460,14 @@ func TSMMRows(x *MatrixBlock, k1, threads int) (*MatrixBlock, error) {
 	return out, nil
 }
 
-// tsmmDense accumulates each row chunk through the tiled engine above the
-// crossover and the simple triangular loop below it — identical per-cell
-// ascending-row accumulation order either way.
+// tsmmDense accumulates each row chunk through the tiled engine or the simple
+// triangular loop, as TSMMKernel decides for the whole product — identical
+// per-cell ascending-row accumulation order either way.
 func tsmmDense(x, out *MatrixBlock, threads int) {
 	n, xv := x.cols, x.dense
+	tiled := TSMMKernel(x.rows, n) == kernelTiled
 	tsmmChunked(out, x.rows, threads, func(buf []float64, r0, r1 int) {
-		if tsmmUseTiled(r1-r0, n) {
+		if tiled {
 			tsmmTiledChunk(buf, xv, n, r0, r1)
 		} else {
 			tsmmSimpleChunk(buf, xv, n, r0, r1)

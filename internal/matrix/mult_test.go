@@ -2,7 +2,9 @@ package matrix
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMultiplySmall(t *testing.T) {
@@ -125,21 +127,61 @@ func TestTSMMSparse(t *testing.T) {
 	}
 }
 
-// TestTSMMRowsBitwise pins TSMMRows to the rows of the full TSMM it stands
-// in for under partial reuse: bitwise, dense and sparse, for every thread
-// count (TSMM's row chunking depends on it).
+// TestTSMMChunkLagBounded: while chunk 0 is still running, no worker starts
+// a chunk as many chunks ahead as there are workers, so however unevenly the
+// chunks finish, at most one partial n x n buffer per worker is live.
+func TestTSMMChunkLagBounded(t *testing.T) {
+	const m, n, threads = 8 * tsmmChunkRows, 64, 2
+	num, size := tsmmChunks(m)
+	if num != 8 || chunkWorkers(num, threads, m*n) != threads {
+		t.Fatalf("test shape no longer gives 8 chunks on %d workers", threads)
+	}
+	var firstDone atomic.Bool
+	var ahead atomic.Int32
+	tsmmChunked(NewDense(n, n), m, threads, func(_ []float64, r0, _ int) {
+		switch ci := r0 / size; {
+		case ci == 0:
+			time.Sleep(20 * time.Millisecond)
+			firstDone.Store(true)
+		case ci >= threads && !firstDone.Load():
+			ahead.Add(1)
+		}
+	})
+	if got := ahead.Load(); got != 0 {
+		t.Errorf("%d chunks started %d or more ahead of an unfinished chunk 0", got, threads)
+	}
+}
+
+// TestTSMMRowsBitwise: TSMM's fixed row chunks make its output, dense and
+// sparse, on either kernel class, bitwise identical for every thread count,
+// and TSMMRows, which partial reuse substitutes for the trailing rows of a
+// TSMM, equals those rows bitwise under each.
 func TestTSMMRowsBitwise(t *testing.T) {
-	for _, x := range []*MatrixBlock{RandUniform(301, 12, -1, 1, 1.0, 7), RandUniform(301, 12, 0, 1, 0.15, 8)} {
-		for threads := 1; threads <= 4; threads++ {
-			for _, k1 := range []int{0, 5, 12} {
+	for _, x := range []*MatrixBlock{
+		RandUniform(301, 12, -1, 1, 1.0, 7),   // one chunk
+		RandUniform(301, 12, 0, 1, 0.15, 8),   // one chunk, sparse
+		RandUniform(5000, 12, -1, 1, 1.0, 81), // 5 chunks, simple loop
+		RandUniform(3100, 40, -1, 1, 1.0, 82), // 3 chunks, tiled engine
+		RandUniform(5000, 30, -1, 1, 0.1, 83), // 5 chunks, sparse
+	} {
+		n := x.Cols()
+		what := fmt.Sprintf("%dx%d sparse=%v", x.Rows(), n, x.IsSparse())
+		want := TSMM(x, 1)
+		for _, threads := range []int{1, 2, 3, 4, 7} {
+			full := TSMM(x, threads)
+			bitwiseEqual(t, want, full, fmt.Sprintf("TSMM %s threads=%d", what, threads))
+			for _, k1 := range []int{0, 5, n - 1, n} {
 				got, err := TSMMRows(x, k1, threads)
-				want, err2 := Slice(TSMM(x, threads), k1, 12, 0, 12)
+				wantRows, err2 := Slice(full, k1, n, 0, n)
 				if err != nil || err2 != nil {
 					t.Fatal(err, err2)
 				}
-				bitwiseEqual(t, want, got, fmt.Sprintf("TSMMRows(sparse=%v, k1=%d, threads=%d)", x.IsSparse(), k1, threads))
+				bitwiseEqual(t, wantRows, got, fmt.Sprintf("TSMMRows %s k1=%d threads=%d", what, k1, threads))
 			}
 		}
+	}
+	if TSMMKernel(3100, 40) != kernelTiled || TSMMKernel(5000, 12) != kernelSimple {
+		t.Error("TSMM test shapes no longer cover both kernel classes")
 	}
 	if _, err := TSMMRows(RandUniform(3, 2, 0, 1, 1.0, 9), 3, 1); err == nil {
 		t.Error("start column past the last column must fail")

@@ -12,6 +12,12 @@ func Transpose(m *MatrixBlock) *MatrixBlock {
 		return transposeSparse(m)
 	}
 	out := NewDense(m.cols, m.rows)
+	if m.rows == 1 || m.cols == 1 {
+		// a row-major vector and its transpose share one layout
+		copy(out.dense, m.dense)
+		out.nnz = m.nnz
+		return out
+	}
 	const blk = 64
 	for rr := 0; rr < m.rows; rr += blk {
 		rmax := min(rr+blk, m.rows)

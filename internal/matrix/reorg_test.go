@@ -23,6 +23,29 @@ func TestTransposeSparse(t *testing.T) {
 	}
 }
 
+// TestTransposeVector: a dense row or column vector transposes to a copy of
+// its values (the row-major layouts coincide) that does not alias the input.
+func TestTransposeVector(t *testing.T) {
+	for _, m := range []*MatrixBlock{RandUniform(37, 1, -1, 1, 0.7, 23).ToDense(), RandUniform(1, 37, -1, 1, 0.7, 24).ToDense()} {
+		got := Transpose(m)
+		if got.Rows() != m.Cols() || got.Cols() != m.Rows() || got.IsSparse() {
+			t.Fatalf("t(%dx%d) is %dx%d sparse=%v", m.Rows(), m.Cols(), got.Rows(), got.Cols(), got.IsSparse())
+		}
+		for i, v := range m.DenseValues() {
+			if got.DenseValues()[i] != v {
+				t.Fatalf("t(%dx%d)[%d] = %v, want %v", m.Rows(), m.Cols(), i, got.DenseValues()[i], v)
+			}
+		}
+		if got.NNZ() != m.NNZ() {
+			t.Errorf("nnz = %d, want %d", got.NNZ(), m.NNZ())
+		}
+		got.DenseValues()[0] = 42
+		if m.DenseValues()[0] == 42 {
+			t.Error("vector transpose aliases its input")
+		}
+	}
+}
+
 func TestTransposeInvolution(t *testing.T) {
 	m := RandUniform(17, 29, -5, 5, 1.0, 22)
 	if !Transpose(Transpose(m)).Equals(m, 0) {

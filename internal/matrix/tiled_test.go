@@ -1,6 +1,8 @@
 package matrix
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -19,10 +21,21 @@ func forceKernel(t *testing.T, k GEMMKernel) {
 // parameters.
 var tileDims = []int{1, 3, 4, 5, 67, 129}
 
+// bitwiseEqual requires identical shapes, identical float64 bit patterns in
+// every cell (== would let a signed zero through) and identical nnz.
 func bitwiseEqual(t *testing.T, want, got *MatrixBlock, what string) {
 	t.Helper()
-	if !want.Equals(got, 0) {
-		t.Errorf("%s: tiled result is not bitwise-equal to the simple kernel", what)
+	if want.Rows() != got.Rows() || want.Cols() != got.Cols() {
+		t.Errorf("%s: result is %dx%d, want %dx%d", what, got.Rows(), got.Cols(), want.Rows(), want.Cols())
+		return
+	}
+	for r := 0; r < want.Rows(); r++ {
+		for c := 0; c < want.Cols(); c++ {
+			if math.Float64bits(want.Get(r, c)) != math.Float64bits(got.Get(r, c)) {
+				t.Errorf("%s: cell (%d,%d) = %v, want %v (bitwise)", what, r, c, got.Get(r, c), want.Get(r, c))
+				return
+			}
+		}
 	}
 	if want.NNZ() != got.NNZ() {
 		t.Errorf("%s: nnz = %d, want %d", what, got.NNZ(), want.NNZ())
@@ -301,6 +314,143 @@ func TestMMChainBlockedBitwise(t *testing.T) {
 		}
 		if !want.Equals(t1, 1e-9) {
 			t.Error("blocked mmchain disagrees with the explicit chain")
+		}
+	}
+}
+
+// vecKs and vecLens are the common dimensions and the matrix-side lengths of
+// the vector-kernel property tests: the 4-way unroll remainders 0..3, a
+// single term, a k past one cache block, a 20000-term dot product, and a
+// length that splits unevenly across workers.
+var (
+	vecKs   = []int{1, 3, 4, 5, 257, 20000}
+	vecLens = []int{1, 3, 4, 5, 4099}
+)
+
+// vecOperand returns a rows x cols operand in the requested representation.
+// Both carry zeros among values of both signs, so the dense vector kernels,
+// which have no zero skip, see 0*x = -0 terms the simple loop and the CSR
+// kernels skip.
+func vecOperand(rows, cols int, sparse bool, seed int64) *MatrixBlock {
+	if sparse {
+		return RandUniform(rows, cols, -1, 1, 0.2, seed).ToSparse()
+	}
+	return RandUniform(rows, cols, -1, 1, 0.8, seed).ToDense()
+}
+
+// TestVectorKernelsBitwiseEqualsSimple pins the matrix-vector (n == 1) and
+// vector-matrix (m == 1) shapes of Multiply against the forced simple kernel,
+// bit for bit, at every thread count: dense operands run the vector kernels,
+// and a sparse operand keeps its CSR kernel, which must stay independent of
+// the thread count. The 4099 x 20000 shape is left out: its operand alone
+// would take 650 MB.
+func TestVectorKernelsBitwiseEqualsSimple(t *testing.T) {
+	for _, k := range vecKs {
+		for _, l := range vecLens {
+			if l*k > 1<<21 {
+				continue
+			}
+			for _, sparseMat := range []bool{false, true} {
+				for _, sparseVec := range []bool{false, true} {
+					seed := int64(k*10007 + l)
+					x := vecOperand(l, k, sparseMat, seed)
+					v := vecOperand(k, 1, sparseVec, seed+1)
+					u := vecOperand(1, k, sparseVec, seed+2)
+					b := vecOperand(k, l, sparseMat, seed+3)
+					what := fmt.Sprintf("k=%d len=%d sparseMat=%v sparseVec=%v", k, l, sparseMat, sparseVec)
+					checkVectorKernel(t, x, v, "mv "+what)
+					checkVectorKernel(t, u, b, "vm "+what)
+				}
+			}
+		}
+	}
+}
+
+// checkVectorKernel asserts the dense dispatch picks a vector kernel for the
+// shape of a %*% b and that the product equals the simple kernel's bitwise at
+// threads 1, 2, 3 and 8.
+func checkVectorKernel(t *testing.T, a, b *MatrixBlock, what string) {
+	t.Helper()
+	class := kernelVM
+	if b.Cols() == 1 {
+		class = kernelMV
+	}
+	if got := MatMultKernel(a.Rows(), a.Cols(), b.Cols()); got != class {
+		t.Fatalf("%s: kernel class %q, want %q", what, got, class)
+	}
+	forceKernel(t, GEMMSimple)
+	want, err := Multiply(a, b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	SetGEMMKernel(GEMMAuto)
+	for _, threads := range []int{1, 2, 3, 8} {
+		got, err := Multiply(a, b, threads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bitwiseEqual(t, want, got, fmt.Sprintf("%s threads=%d", what, threads))
+	}
+}
+
+// TestVectorKernelsStripeAccumulation checks the MultiplyAcc contract on the
+// vector kernels (MultiplyAcc densifies sparse operands, so both
+// representations reach them): accumulating ascending k-stripes (of a width
+// that leaves ragged unroll remainders) equals the one-shot Multiply product
+// bitwise, and an accumulation onto a non-zero accumulator equals the simple
+// kernel's.
+func TestVectorKernelsStripeAccumulation(t *testing.T) {
+	const stripe = 61
+	for _, k := range []int{257, 20000} {
+		for _, sparse := range []bool{false, true} {
+			l := 4099
+			if k == 20000 {
+				l = 5
+			}
+			x := vecOperand(l, k, sparse, int64(k+1))
+			v := vecOperand(k, 1, sparse, int64(k+2))
+			u := vecOperand(1, k, sparse, int64(k+3))
+			b := vecOperand(k, l, sparse, int64(k+4))
+			for _, pair := range [][2]*MatrixBlock{{x, v}, {u, b}} {
+				a, b := pair[0], pair[1]
+				m, n := a.Rows(), b.Cols()
+				what := fmt.Sprintf("%dx%d %%*%% %dx%d sparse=%v", m, k, k, n, sparse)
+				want, err := Multiply(a, b, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, threads := range []int{1, 3} {
+					acc := NewDense(m, n)
+					for k0 := 0; k0 < k; k0 += stripe {
+						k1 := min(k0+stripe, k)
+						as, err := Slice(a, 0, m, k0, k1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						bs, err := Slice(b, k0, k1, 0, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := MultiplyAcc(acc, as, bs, threads); err != nil {
+							t.Fatal(err)
+						}
+					}
+					bitwiseEqual(t, want, acc, fmt.Sprintf("stripes %s threads=%d", what, threads))
+
+					seed := RandUniform(m, n, -1, 1, 1.0, int64(m+n))
+					accS, accA := seed.Copy(), seed.Copy()
+					SetGEMMKernel(GEMMSimple)
+					err := MultiplyAcc(accS, a, b, threads)
+					SetGEMMKernel(GEMMAuto)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := MultiplyAcc(accA, a, b, threads); err != nil {
+						t.Fatal(err)
+					}
+					bitwiseEqual(t, accS, accA, fmt.Sprintf("acc %s threads=%d", what, threads))
+				}
+			}
 		}
 	}
 }
